@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional
 
 from repro.ir.instructions import Instruction, Phi
@@ -41,6 +41,9 @@ class BasicBlock:
             return []
         return term.successors()  # type: ignore[attr-defined]
 
+    def clone(self) -> "BasicBlock":
+        return BasicBlock(self.label, [inst.clone() for inst in self.instructions])
+
 
 @dataclass
 class Function:
@@ -59,6 +62,20 @@ class Function:
     # records the collision here for the lint gate (``dup-block-label``)
     # instead of guessing which of the two bodies was meant.
     duplicate_labels: List[str] = field(default_factory=list)
+
+    def clone(self) -> "Function":
+        """A structural copy: every block, instruction, argument and label
+        collection is new; frozen values, types and attribute sets are
+        shared with the original."""
+        return Function(
+            self.name,
+            self.return_type,
+            [replace(arg) for arg in self.args],
+            {label: block.clone() for label, block in self.blocks.items()},
+            self.attrs,
+            set(self.sink_labels),
+            list(self.duplicate_labels),
+        )
 
     @property
     def is_declaration(self) -> bool:

@@ -46,6 +46,24 @@ class Instruction:
     def is_terminator(self) -> bool:
         return False
 
+    def clone(self) -> "Instruction":
+        """A structural copy that shares operands, types and flag sets.
+
+        Values, types and frozensets are immutable, so the only state an
+        instruction could share by accident is a list: phi incoming,
+        switch cases, call args, gep/extract/insert indices, the shuffle
+        mask.  Every list-valued field gets a fresh list; every other
+        field is shared with the original.
+        """
+        cls = self.__class__
+        new = cls.__new__(cls)
+        fields = dict(self.__dict__)
+        for key, value in fields.items():
+            if value.__class__ is list:
+                fields[key] = value[:]
+        new.__dict__ = fields
+        return new
+
     def __repr__(self) -> str:
         from repro.ir.printer import print_instruction
 

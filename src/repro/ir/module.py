@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function
@@ -25,8 +24,13 @@ class Module:
         return [f for f in self.functions.values() if not f.is_declaration]
 
     def clone(self) -> "Module":
-        """Deep copy; used to snapshot IR before running optimization passes."""
-        return copy.deepcopy(self)
+        """Structural copy; used to snapshot IR before running optimization
+        passes.  Globals hold only immutable fields, so a shallow copy of
+        each is enough."""
+        return Module(
+            {name: fn.clone() for name, fn in self.functions.items()},
+            {name: replace(g) for name, g in self.globals.items()},
+        )
 
     def __str__(self) -> str:
         from repro.ir.printer import print_module

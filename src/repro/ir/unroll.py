@@ -17,7 +17,6 @@ three-case strategy, collapsed to two here:
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -136,7 +135,7 @@ def _unroll_one_loop(
 
     # Pristine snapshot of the loop body: later copies are cloned from this,
     # not from copy 0, whose backedges get patched as soon as copy 1 exists.
-    pristine = {label: _copy.deepcopy(fn.blocks[label]) for label in loop_blocks}
+    pristine = {label: fn.blocks[label].clone() for label in loop_blocks}
 
     # Pick a suffix that cannot collide with labels/registers created by a
     # previous unroll round (nested loops unroll inside-out, so the outer
@@ -182,7 +181,7 @@ def _unroll_one_loop(
         for label in loop_blocks:
             clone = BasicBlock(cur_labels[label])
             for inst in pristine[label].instructions:
-                new_inst = _copy.deepcopy(inst)
+                new_inst = inst.clone()
                 name = getattr(new_inst, "name", None)
                 if name is not None:
                     new_name = unroll_name(name, i)

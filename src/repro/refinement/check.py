@@ -21,7 +21,6 @@ classes.
 
 from __future__ import annotations
 
-import copy as _copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -135,11 +134,6 @@ class VerifyOptions:
     # --no-relational ablates it and the degradation ladder turns it off
     # under MEMOUT.
     relational: bool = True
-    # Fallback for one PR: re-enable the superseded lone-forall-var
-    # pairing heuristic alongside the relational seeds (parity-tested).
-    # With relational=False the heuristic stays active regardless, so
-    # --no-relational reproduces the PR 9 pipeline exactly.
-    legacy_pairing: bool = False
     # Self-certifying mode (--certify): every UNSAT the solver stack
     # claims must carry a proof the independent RUP checker accepts; a
     # rejected proof downgrades the verdict to SOLVER_UNSOUND instead of
@@ -177,7 +171,6 @@ class VerifyOptions:
             "witness_pairing": self.witness_pairing,
             "memdf": self.memdf,
             "relational": self.relational,
-            "legacy_pairing": self.legacy_pairing,
             "certify": self.certify,
         }
 
@@ -220,9 +213,6 @@ class VerifyOptions:
             ),
             memdf=bool(data.get("memdf", defaults.memdf)),
             relational=bool(data.get("relational", defaults.relational)),
-            legacy_pairing=bool(
-                data.get("legacy_pairing", defaults.legacy_pairing)
-            ),
             certify=bool(data.get("certify", defaults.certify)),
         )
 
@@ -346,7 +336,7 @@ def verify_refinement(
     """Check that ``tgt`` refines ``src`` (the core Alive2 operation).
 
     ``options.timeout_s`` bounds the *whole job*: a single
-    :class:`Deadline` covers deepcopy, unroll, encode, and every solver
+    :class:`Deadline` covers cloning, unroll, encode, and every solver
     query, with cooperative checkpoints inside the unroller and the
     encoder.  A job whose pre-solver phases exceed the budget returns
     ``Verdict.TIMEOUT`` instead of running unbounded.
@@ -393,15 +383,16 @@ def _verify_with_deadline(
         )
 
     # Unroll copies up front so both functions share one memory layout.
-    # Everything from deepcopy through encoding counts as the "encode"
-    # phase for per-phase attribution.
+    # Everything from the clone through encoding counts as the "encode"
+    # phase for per-phase attribution.  The checkpoints keep their
+    # historical "deepcopy" phase name so TIMEOUT records stay stable.
     encode_start = time.monotonic()
     try:
         maybe_fault("unroll", deadline=deadline, unroll_factor=options.unroll_factor)
         deadline.check("deepcopy")
-        src_unrolled = _copy.deepcopy(src)
+        src_unrolled = src.clone()
         deadline.check("deepcopy")
-        tgt_unrolled = _copy.deepcopy(tgt)
+        tgt_unrolled = tgt.clone()
         unroll_function(src_unrolled, options.unroll_factor, deadline=deadline)
         unroll_function(tgt_unrolled, options.unroll_factor, deadline=deadline)
     except UnrollError:
@@ -1001,20 +992,13 @@ class _RefinementChecker:
         """Per-query witness candidates from the active pairing mechanism.
 
         With the relational analysis on, the analysis-backed generalised
-        pairing replaces the PR 7 lone-forall-var heuristic; the old
-        heuristic stays reachable behind ``VerifyOptions.legacy_pairing``
-        for one PR (parity-asserted in tests) and remains the default
-        whenever the analysis is off, so ``--no-relational`` reproduces
-        the previous pipeline exactly.
+        pairing replaces the lone-forall-var heuristic; the heuristic
+        remains the pairing whenever the analysis is off
+        (``--no-relational``).
         """
-        seeds: List[Dict[str, Term]] = []
         if self.relational is not None:
-            seeds.extend(self._relational_pairing_seeds(psi))
-            if self.options.legacy_pairing:
-                seeds.extend(self._pairing_seeds(psi))
-        else:
-            seeds.extend(self._pairing_seeds(psi))
-        return seeds
+            return self._relational_pairing_seeds(psi)
+        return self._pairing_seeds(psi)
 
     def _relational_pairing_seeds(self, psi: BoolTerm) -> List[Dict[str, Term]]:
         """Analysis-backed witness candidates for the live ∀-vars of ψ.

@@ -209,6 +209,12 @@ class SatSolver:
     def num_vars(self) -> int:
         return self._num_vars
 
+    @property
+    def num_clauses(self) -> int:
+        """Input clauses kept in the clause database (units, tautologies
+        and clauses already satisfied at level 0 are not stored)."""
+        return len(self._clauses)
+
     @staticmethod
     def _code(lit: Lit) -> int:
         return (lit << 1) if lit > 0 else ((-lit) << 1) | 1

@@ -15,7 +15,6 @@ branch-on-undef UB and the return-undef refinement query).
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -194,7 +193,7 @@ def encode_function(
     function arguments and global contents use shared (unprefixed) names
     so a source/target pair meets on the same inputs.
     """
-    work = _copy.deepcopy(fn)
+    work = fn.clone()
     try:
         unroll_function(work, unroll_factor)
     except UnrollError as exc:

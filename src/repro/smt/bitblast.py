@@ -53,11 +53,8 @@ class BitBlaster:
         without the e-graph simplifier) to attribute CNF shrinkage.
         """
         return {
-            "vars": int(getattr(self.solver, "num_vars", 0)),
-            "clauses": int(
-                getattr(self.solver, "num_clauses", 0)
-                or len(getattr(self.solver, "clauses", ()) or ())
-            ),
+            "vars": self.solver.num_vars,
+            "clauses": self.solver.num_clauses,
             "gates": self.num_gates,
             "terms": self.num_blasted_terms,
         }

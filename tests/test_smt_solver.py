@@ -4,8 +4,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sat import SatSolver
 from repro.smt import CheckResult, ResourceLimits, SmtSolver
 from repro.smt import terms as T
+from repro.smt.bitblast import BitBlaster
 
 
 def _check_sat(formula):
@@ -27,6 +29,16 @@ def test_bv_equation():
     res, s = _check_sat(T.bv_eq(T.bv_add(a, T.bv_const(1, 8)), T.bv_const(0, 8)))
     assert res is CheckResult.SAT
     assert s.model_env()["a"] == 255
+
+
+def test_cnf_stats_counts_clauses():
+    sat = SatSolver()
+    blaster = BitBlaster(sat)
+    a, b = T.bv_var("a", 8), T.bv_var("b", 8)
+    blaster.assert_term(T.bv_eq(T.bv_add(a, b), T.bv_const(3, 8)))
+    stats = blaster.cnf_stats()
+    assert stats["clauses"] == sat.num_clauses > 0
+    assert stats["vars"] == sat.num_vars > 0
 
 
 def test_bv_unsat_parity():
