@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.analysis.pointsto import (
     PointsToFact,
     analyze_pointsto,
     assign_alloca_bids,
+    memo_ref,
 )
 from repro.ir.function import Function
 from repro.ir.instructions import Alloca, Call, Load, Ret, Store
@@ -91,9 +92,13 @@ class ForwardFact:
 
 @dataclass
 class MemDF:
-    """All memory-dataflow facts for one (unrolled) function."""
+    """All memory-dataflow facts for one (unrolled) function.
 
-    fn: Function
+    The function is held weakly (``fn_ref``), so the memo entry in
+    :func:`analyze_memdf` dies with its function instead of pinning it.
+    """
+
+    fn_ref: "weakref.ref[Function]"
     layout: MemoryLayout
     pointsto: Dict[str, PointsToFact]
     access: Dict[int, AccessFact] = field(default_factory=dict)  # id(inst)
@@ -102,6 +107,13 @@ class MemDF:
     clobbered: Optional[FrozenSet[int]] = frozenset()  # None = may write anything
     has_calls: bool = False
     entry_oob: bool = False  # an always-executed entry-block access is OOB
+
+    @property
+    def fn(self) -> Function:
+        fn = self.fn_ref()
+        if fn is None:
+            raise ReferenceError("MemDF outlived its function")
+        return fn
 
     # -- consumer queries -----------------------------------------------------
     def pointer_fact(self, value) -> PointsToFact:
@@ -262,15 +274,16 @@ def analyze_memdf(fn: Function, layout: MemoryLayout) -> MemDF:
     cached = _MEMDF_CACHE.get(id(fn))
     if cached is not None and cached[0]() is fn and cached[1].layout is layout:
         return cached[1]
-    mdf = _analyze(fn, layout)
-    _MEMDF_CACHE[id(fn)] = (weakref.ref(fn), mdf)
+    ref = memo_ref(_MEMDF_CACHE, fn)
+    mdf = _analyze(fn, ref, layout)
+    _MEMDF_CACHE[id(fn)] = (ref, mdf)
     return mdf
 
 
-def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
+def _analyze(fn: Function, ref: "weakref.ref", layout: MemoryLayout) -> MemDF:
     STATS.analyses += 1
     pointsto = analyze_pointsto(fn, layout)
-    mdf = MemDF(fn=fn, layout=layout, pointsto=pointsto)
+    mdf = MemDF(fn_ref=ref, layout=layout, pointsto=pointsto)
     sizes = _block_sizes(fn, layout)
     clobbered: Optional[set] = set()
     dead: set = set()

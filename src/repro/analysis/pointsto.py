@@ -200,9 +200,24 @@ def _gep_delta(inst: Gep) -> Optional[int]:
 # Facts are memoized per (function, layout) pair: the encoder, the memory
 # dataflow pass, and the prescreen all consume the same run.  Function
 # objects are unhashable, so the table is keyed by id() with a weakref
-# guard against id reuse, and registered with the term-intern reset hook
-# so warm-pool workers can never leak facts across tests.
+# guard against id reuse; the weakref's callback drops the entry when the
+# function dies, and the term-intern reset hook clears the whole table so
+# warm-pool workers can never leak facts across tests.
 _POINTSTO_CACHE: Dict[int, Tuple["weakref.ref", MemoryLayout, Dict[str, PointsToFact]]] = {}
+
+
+def memo_ref(cache: Dict[int, tuple], fn: Function) -> "weakref.ref":
+    """A weak reference to ``fn`` that deletes ``cache[id(fn)]`` when ``fn``
+    dies, for memo tables whose entries are tuples led by this reference:
+    an entry lives exactly as long as its function."""
+    key = id(fn)
+
+    def forget(ref: "weakref.ref") -> None:
+        entry = cache.get(key)
+        if entry is not None and entry[0] is ref:
+            del cache[key]
+
+    return weakref.ref(fn, forget)
 
 
 @terms.on_reset
@@ -218,5 +233,5 @@ def analyze_pointsto(
     if cached is not None and cached[0]() is fn and cached[1] is layout:
         return cached[2]
     facts = analyze_registers(fn, PointsToAnalysis(fn, layout))
-    _POINTSTO_CACHE[id(fn)] = (weakref.ref(fn), layout, facts)
+    _POINTSTO_CACHE[id(fn)] = (memo_ref(_POINTSTO_CACHE, fn), layout, facts)
     return facts

@@ -157,17 +157,13 @@ def _run_chunk(tests: List[UnitTest], owner_hint: Optional[int] = None) -> dict:
     reset, fault scoping) is unchanged from one-test-per-task dispatch,
     so records are independent of how tests were chunked.
     """
-    from repro.smt.terms import reset_interning
-    from repro.suite.runner import _run_one_test
+    from repro.suite.runner import _run_one_test, reset_test_state
 
     cache = _chunk_cache(owner_hint)
     out: List[dict] = []
     with faults.activate(_worker_state["fault_plan"]), qcache.activate(cache):
         for test in tests:
-            # Per-test intern reset bounds worker memory over long corpora
-            # (and makes results independent of which worker ran which
-            # tests).
-            reset_interning()
+            reset_test_state()
             record = _run_one_test(
                 test,
                 _worker_state["options"],

@@ -31,7 +31,12 @@ def register_pass(name: str):
 
 @dataclass
 class PassRun:
-    """One pass execution over one function."""
+    """One pass execution over one function.
+
+    ``before`` and ``after`` are snapshots shared with the neighbouring
+    runs (one run's ``after`` is the next run's ``before``): read them,
+    never mutate them.
+    """
 
     pass_name: str
     function: str
@@ -56,15 +61,17 @@ class PassManager:
         import repro.opt.passes  # noqa: F401  (registers all passes)
 
         runs: List[PassRun] = []
+        # One clone per step: a step's ``after`` is the next step's ``before``.
+        snapshot: Optional[Module] = None
         for name in self.pipeline:
             pass_fn = PASS_REGISTRY.get(name)
             if pass_fn is None:
                 raise KeyError(f"unknown pass {name!r}")
             for fn in module.definitions():
-                before = module.clone()
+                before = snapshot if snapshot is not None else module.clone()
                 changed = pass_fn(fn, module, self.options)
-                after = module.clone()
-                runs.append(PassRun(name, fn.name, changed, before, after))
+                snapshot = module.clone()
+                runs.append(PassRun(name, fn.name, changed, before, snapshot))
         return runs
 
 

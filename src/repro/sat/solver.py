@@ -96,9 +96,6 @@ class Budget:
     max_conflicts: Optional[int] = None
     max_learned_lits: Optional[int] = None
 
-    def for_timeout(seconds: float) -> "Budget":  # type: ignore[misc]
-        raise TypeError("use Budget(deadline=time.monotonic() + s)")
-
 
 def _luby(i: int) -> int:
     """Return the i-th element (0-based) of the Luby restart sequence."""
@@ -151,7 +148,7 @@ class SatSolver:
         self._num_vars = 0
         # Indexed by coded literal (2*v for +v, 2*v+1 for -v).
         self._watches: List[List[_ClauseRef]] = [[], []]
-        self._assigns: List[int] = [_UNASSIGNED]
+        self._value: List[int] = [_UNASSIGNED, _UNASSIGNED]
         self._level: List[int] = [0]
         self._reason: List[Optional[_ClauseRef]] = [None]
         self._activity: List[float] = [0.0]
@@ -167,7 +164,13 @@ class SatSolver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._ok = True
-        self._order_heap: List[int] = []
+        # VSIDS order: a lazy heap of (-activity, var).  An entry is live
+        # while its key equals the variable's activity; ``_in_heap[v]``
+        # marks that v has its (single) live entry in the heap.  Every
+        # unassigned variable has one, so the top live unassigned entry is
+        # the highest-activity unassigned variable, lowest index on ties.
+        self._order_heap: List[tuple] = []
+        self._in_heap: List[bool] = [False]
         self._seen: List[int] = [0]
         self.stats = SolverStats()
         self._model: Dict[int, bool] = {}
@@ -182,7 +185,8 @@ class SatSolver:
         v = self._num_vars
         self._watches.append([])
         self._watches.append([])
-        self._assigns.append(_UNASSIGNED)
+        self._value.append(_UNASSIGNED)
+        self._value.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
@@ -191,6 +195,7 @@ class SatSolver:
         )
         self._seen.append(0)
         heapq.heappush(self._order_heap, (0.0, v))
+        self._in_heap.append(True)
         return v
 
     def randomize_polarity(self) -> None:
@@ -240,9 +245,14 @@ class SatSolver:
         seen: Dict[int, int] = {}
         out: List[int] = []
         for lit in lits:
-            v = lit if lit > 0 else -lit
-            self.ensure_vars(v)
-            code = self._code(lit)
+            if lit > 0:
+                v = lit
+                code = lit << 1
+            else:
+                v = -lit
+                code = (v << 1) | 1
+            if v > self._num_vars:
+                self.ensure_vars(v)
             prev = seen.get(v)
             if prev is None:
                 seen[v] = code
@@ -250,12 +260,14 @@ class SatSolver:
             elif prev != code:
                 return True  # tautology: x or not-x
         # Drop literals already false at level 0; satisfy check for true ones.
+        value = self._value
+        level = self._level
         filtered: List[int] = []
         for code in out:
-            val = self._lit_value(code)
-            if val == _TRUE and self._level[code >> 1] == 0:
-                return True
-            if val == _FALSE and self._level[code >> 1] == 0:
+            val = value[code]
+            if val != _UNASSIGNED and level[code >> 1] == 0:
+                if val == _TRUE:
+                    return True
                 continue
             filtered.append(code)
         if not filtered:
@@ -281,22 +293,17 @@ class SatSolver:
     # ------------------------------------------------------------------
     # Assignment primitives
     # ------------------------------------------------------------------
-    def _lit_value(self, code: int) -> int:
-        val = self._assigns[code >> 1]
-        if val == _UNASSIGNED:
-            return _UNASSIGNED
-        return val ^ (code & 1)
-
     def _attach(self, ref: _ClauseRef) -> None:
         self._watches[ref.lits[0] ^ 1].append(ref)
         self._watches[ref.lits[1] ^ 1].append(ref)
 
     def _enqueue(self, code: int, reason: Optional[_ClauseRef]) -> bool:
-        val = self._lit_value(code)
+        val = self._value[code]
         if val != _UNASSIGNED:
             return val == _TRUE
         v = code >> 1
-        self._assigns[v] = _TRUE if (code & 1) == 0 else _FALSE
+        self._value[code] = _TRUE
+        self._value[code ^ 1] = _FALSE
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._polarity[v] = (code & 1) == 0
@@ -304,13 +311,24 @@ class SatSolver:
         return True
 
     def _propagate(self) -> Optional[_ClauseRef]:
-        while self._qhead < len(self._trail):
-            code = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
+        """Unit-propagate the trail from ``_qhead``; returns a conflicting
+        clause or None.  Hot loop: ``_enqueue`` is inlined and every
+        attribute is read once into a local."""
+        trail = self._trail
+        watches = self._watches
+        value = self._value
+        level = self._level
+        reason = self._reason
+        polarity = self._polarity
+        cur_level = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            code = trail[qhead]
+            qhead += 1
             false_code = code ^ 1
-            watchers = self._watches[code]
-            self._watches[code] = []
+            watchers = watches[code]
+            kept: List[_ClauseRef] = []
+            watches[code] = kept
             i = 0
             n = len(watchers)
             while i < n:
@@ -321,46 +339,68 @@ class SatSolver:
                 if lits[0] == false_code:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == _TRUE:
-                    self._watches[code].append(ref)
+                first_val = value[first]
+                if first_val == _TRUE:
+                    kept.append(ref)
                     continue
                 # Look for a new watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != _FALSE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append(ref)
-                        found = True
+                    other = lits[k]
+                    if value[other] != _FALSE:
+                        lits[1], lits[k] = other, lits[1]
+                        watches[other ^ 1].append(ref)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                self._watches[code].append(ref)
-                if not self._enqueue(first, ref):
-                    # Conflict: restore remaining watchers and report.
-                    self._watches[code].extend(watchers[i:])
-                    self._qhead = len(self._trail)
-                    return ref
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(ref)
+                    if first_val == _FALSE:
+                        # Conflict: restore remaining watchers and report.
+                        kept.extend(watchers[i:])
+                        self.stats.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return ref
+                    v = first >> 1
+                    value[first] = _TRUE
+                    value[first ^ 1] = _FALSE
+                    level[v] = cur_level
+                    reason[v] = ref
+                    polarity[v] = (first & 1) == 0
+                    trail.append(first)
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
     def _bump_var(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
+        activity = self._activity
+        act = activity[v] + self._var_inc
+        activity[v] = act
+        if act > 1e100:
             for i in range(1, self._num_vars + 1):
-                self._activity[i] *= 1e-100
+                activity[i] *= 1e-100
             self._var_inc *= 1e-100
-            # Rebuild the heap: stored keys are stale after rescaling.
-            self._order_heap = [
-                (-self._activity[i], i)
-                for i in range(1, self._num_vars + 1)
-                if self._assigns[i] == _UNASSIGNED
-            ]
-            heapq.heapify(self._order_heap)
+            # Every stored key is stale after rescaling.
+            self._rebuild_heap()
             return
-        heapq.heappush(self._order_heap, (-self._activity[v], v))
+        # The new key supersedes v's old entry, which is now stale.
+        heapq.heappush(self._order_heap, (-act, v))
+        self._in_heap[v] = True
+
+    def _rebuild_heap(self) -> None:
+        """One live entry per unassigned variable, no stale entries."""
+        value = self._value
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = []
+        for v in range(1, self._num_vars + 1):
+            unassigned = value[v << 1] == _UNASSIGNED
+            in_heap[v] = unassigned
+            if unassigned:
+                heap.append((-activity[v], v))
+        heapq.heapify(heap)
+        self._order_heap = heap
 
     def _bump_clause(self, ref: _ClauseRef) -> None:
         ref.activity += self._cla_inc
@@ -372,10 +412,14 @@ class SatSolver:
     def _analyze(self, conflict: _ClauseRef) -> tuple[List[int], int]:
         """First-UIP analysis; returns (learned clause codes, backtrack level)."""
         seen = self._seen
+        level = self._level
+        reasons = self._reason
+        trail = self._trail
+        bump = self._bump_var
         learnt: List[int] = [0]  # placeholder for the asserting literal
         path = 0
         p = -1
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         reason: Optional[_ClauseRef] = conflict
         cur_level = len(self._trail_lim)
         while True:
@@ -385,21 +429,21 @@ class SatSolver:
             start = 0 if p == -1 else 1
             for code in reason.lits[start:]:
                 v = code >> 1
-                if seen[v] or self._level[v] == 0:
+                if seen[v] or level[v] == 0:
                     continue
                 seen[v] = 1
-                self._bump_var(v)
-                if self._level[v] == cur_level:
+                bump(v)
+                if level[v] == cur_level:
                     path += 1
                 else:
                     learnt.append(code)
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             v = p >> 1
             seen[v] = 0
-            reason = self._reason[v]
+            reason = reasons[v]
             path -= 1
             if path == 0:
                 break
@@ -408,14 +452,14 @@ class SatSolver:
         marks = [code >> 1 for code in learnt]
         kept = [learnt[0]]
         for code in learnt[1:]:
-            r = self._reason[code >> 1]
+            r = reasons[code >> 1]
             if r is None:
                 kept.append(code)
                 continue
             redundant = True
             for other in r.lits:
                 ov = other >> 1
-                if ov != (code >> 1) and not seen[ov] and self._level[ov] > 0:
+                if ov != (code >> 1) and not seen[ov] and level[ov] > 0:
                     redundant = False
                     break
             if not redundant:
@@ -428,10 +472,10 @@ class SatSolver:
         # Find backtrack level: max level among learnt[1:].
         max_i = 1
         for i in range(2, len(learnt)):
-            if self._level[learnt[i] >> 1] > self._level[learnt[max_i] >> 1]:
+            if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[learnt[1] >> 1]
+        return learnt, level[learnt[1] >> 1]
 
     def _log_lemma(self, codes: List[int]) -> None:
         if self.proof is not None:
@@ -464,7 +508,7 @@ class SatSolver:
             else:
                 for other in reason.lits:
                     ov = other >> 1
-                    if self._level[ov] > 0:
+                    if ov != v and self._level[ov] > 0:
                         seen[ov] = 1
         return core
 
@@ -490,7 +534,7 @@ class SatSolver:
             else:
                 for other in reason.lits:
                     ov = other >> 1
-                    if self._level[ov] > 0:
+                    if ov != w and self._level[ov] > 0:
                         seen[ov] = 1
         return core
 
@@ -509,40 +553,47 @@ class SatSolver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
+        value = self._value
+        reason = self._reason
+        activity = self._activity
+        in_heap = self._in_heap
+        heap = self._order_heap
         for code in reversed(self._trail[bound:]):
             v = code >> 1
-            self._assigns[v] = _UNASSIGNED
-            self._reason[v] = None
-            heapq.heappush(self._order_heap, (-self._activity[v], v))
+            value[code] = _UNASSIGNED
+            value[code ^ 1] = _UNASSIGNED
+            reason[v] = None
+            if not in_heap[v]:
+                heapq.heappush(heap, (-activity[v], v))
+                in_heap[v] = True
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        # Stale entries (superseded by a bump) pile up between pops; cap
+        # them so the heap stays O(num_vars) over long incremental runs.
+        if len(heap) > 2 * self._num_vars + 64:
+            self._rebuild_heap()
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        # Lazy max-heap over VSIDS activities: entries may be stale
-        # (assigned variable, outdated activity); skip those.
+        """Highest-activity unassigned variable (lowest index on ties), or
+        0 when every variable is assigned."""
         heap = self._order_heap
-        assigns = self._assigns
+        value = self._value
         activity = self._activity
         while heap:
             neg_act, v = heap[0]
-            if assigns[v] != _UNASSIGNED or -neg_act != activity[v]:
-                heapq.heappop(heap)
+            if -neg_act != activity[v]:
+                heapq.heappop(heap)  # stale: v's live entry is elsewhere
+                continue
+            if value[v << 1] != _UNASSIGNED:
+                heapq.heappop(heap)  # v's live entry; re-pushed on unassign
+                self._in_heap[v] = False
                 continue
             return v
-        # Heap exhausted: fall back to a scan (re-seeds missing entries).
-        best = 0
-        best_act = -1.0
-        for v in range(1, self._num_vars + 1):
-            if assigns[v] == _UNASSIGNED:
-                heapq.heappush(heap, (-activity[v], v))
-                if activity[v] > best_act:
-                    best_act = activity[v]
-                    best = v
-        return best
+        return 0
 
     def _reduce_db(self) -> None:
         self._learned.sort(key=lambda c: c.activity)
@@ -590,7 +641,8 @@ class SatSolver:
         assumption_codes = []
         for lit in assumptions:
             v = lit if lit > 0 else -lit
-            self.ensure_vars(v)
+            if v > self._num_vars:
+                self.ensure_vars(v)
             assumption_codes.append(self._code(lit))
 
         conflicts_at_start = self.stats.conflicts
@@ -682,7 +734,7 @@ class SatSolver:
             # Re-establish assumptions as pseudo-decisions.
             if len(self._trail_lim) < len(assumption_codes):
                 code = assumption_codes[len(self._trail_lim)]
-                val = self._lit_value(code)
+                val = self._value[code]
                 if val == _TRUE:
                     self._trail_lim.append(len(self._trail))
                     continue
@@ -707,9 +759,9 @@ class SatSolver:
 
     def _save_model(self) -> None:
         self._model = {}
+        value = self._value
         for v in range(1, self._num_vars + 1):
-            val = self._assigns[v]
-            self._model[v] = val == _TRUE
+            self._model[v] = value[v << 1] == _TRUE
 
     # ------------------------------------------------------------------
     # Model access

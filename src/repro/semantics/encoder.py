@@ -413,6 +413,7 @@ class _Encoder:
         edge_cond: Dict[Tuple[str, str], BoolTerm] = {}
         mem_out: Dict[str, SymMemory] = {}
         init_mem = SymMemory.initial(self.layout, self.module.globals, self.prefix)
+        predecessors = fn.predecessors()
 
         for label in order:
             # Cooperative checkpoint: unrolled functions can have thousands
@@ -424,7 +425,7 @@ class _Encoder:
             # Merge memory from predecessors.
             preds = [
                 p
-                for p in fn.predecessors()[label]
+                for p in predecessors[label]
                 if p in mem_out and (p, label) in edge_cond
             ]
             if not preds:

@@ -35,6 +35,7 @@ from repro.harness.journal import RunJournal
 from repro.ir.parser import parse_module
 from repro.refinement.check import Verdict, VerifyOptions
 from repro.smt import solver as smt_solver
+from repro.smt.terms import reset_interning
 from repro.suite.unittests import UnitTest
 from repro.tv.plugin import validate_pipeline
 from repro.tv.report import Tally
@@ -282,6 +283,7 @@ def run_suite(
                 record = TestRecord.from_json(journal.get(test.name))
                 outcome.resumed += 1
             else:
+                reset_test_state()
                 record = _run_one_test(test, options, inject_bugs, batch, ladder)
                 if journal is not None:
                     journal.record(record.to_json())
@@ -290,6 +292,20 @@ def run_suite(
         outcome.worker_cache = {os.getpid(): cache.counters()}
         _merge_worker_cache(outcome)
     return outcome
+
+
+def reset_test_state() -> None:
+    """Drop what the previous test left behind, before the next one runs.
+
+    Clears the interned-term table and, through its reset hooks, every
+    term-keyed memo and the points-to/memdf facts, so a test's peak
+    memory is its own, not the sum of every test before it, and no memo
+    carries over from one test to the next.  The in-process loop of
+    :func:`run_suite` and the cold-pool worker loop both call this before
+    every test; warm workers reset only at their intern high-water mark.
+    The fresh-name counter keeps running.
+    """
+    reset_interning()
 
 
 def _run_one_test(

@@ -12,6 +12,8 @@ Covers the engine-layer guarantees:
 * ``jobs=4`` produces the same tallies, record order and journal
   contents as ``jobs=1`` — including under injected faults — and a
   journal written by a parallel run resumes correctly;
+* the in-process loop resets per-test state like a pool worker, so its
+  records match a pooled run's and the intern table stays bounded;
 * a hard worker death (simulated OOM-kill) breaks the pool without
   poisoning the tests that were merely queued behind the dier;
 * ``_WIDTH_CACHE`` regression: reset_interning clears term-keyed caches.
@@ -275,6 +277,36 @@ def test_parallel_matches_sequential(tmp_path):
     # Work actually left the parent process.
     assert all(r.worker is not None for r in par.records)
     assert all(r.worker is None for r in seq.records)
+
+
+def _stable_json(record):
+    """A record without its timing and worker pid, as one JSON line."""
+    data = record.to_json()
+    for key in ("elapsed_s", "worker", "phase_times"):
+        data.pop(key)
+    return json.dumps(data, sort_keys=True)
+
+
+def test_in_process_loop_resets_per_test_state():
+    """The in-process loop resets per-test state before every test, as a
+    pool worker does: its records equal a 2-worker run's byte for byte,
+    and the intern table after the run is no larger than after the run's
+    largest single test (a finished test's terms do not pile up)."""
+    from repro.smt.terms import intern_size
+
+    corpus = UNIT_TESTS[:12]
+    seq = run_suite(corpus, OPTS, jobs=1)
+    after_run = intern_size()
+    par = run_suite(corpus, OPTS, jobs=2)
+    assert [_stable_json(r) for r in seq.records] == [
+        _stable_json(r) for r in par.records
+    ]
+    largest = 0
+    for test in corpus:
+        reset_interning()
+        run_suite([test], OPTS, jobs=1)
+        largest = max(largest, intern_size())
+    assert after_run <= largest
 
 
 def test_parallel_with_injected_crash_matches_sequential(tmp_path):

@@ -23,7 +23,7 @@ from repro.ir.interp import POISON, Interpreter, UndefinedBehavior
 from repro.ir.parser import parse_module
 from repro.ir.types import PointerType
 from repro.refinement.check import Verdict, VerifyOptions, verify_refinement
-from repro.semantics.memory import MemoryConfig, build_layout
+from repro.semantics.memory import build_layout
 from repro.smt import terms
 
 
@@ -255,6 +255,36 @@ def test_memo_tables_cleared_on_reset():
     terms.reset_interning()
     assert not pointsto_mod._POINTSTO_CACHE
     assert not memdf_mod._MEMDF_CACHE
+
+
+def test_memo_entries_die_with_their_function():
+    """Facts never pin their function: once the last reference to an
+    analysed function goes, both memo tables forget it without a reset."""
+    import gc
+
+    from repro.analysis import memdf as memdf_mod
+    from repro.analysis import pointsto as pointsto_mod
+
+    terms.reset_interning()
+    mod, fn, layout, mdf = _facts(
+        """
+    define i8 @f(ptr %p, i8 %v) {
+    entry:
+      store i8 %v, ptr %p
+      %l = load i8, ptr %p
+      ret i8 %l
+    }
+    """
+    )
+    assert mdf.resolve_return() == ("arg", "v", "i8")
+    assert id(fn) in pointsto_mod._POINTSTO_CACHE
+    assert id(fn) in memdf_mod._MEMDF_CACHE
+    del mod, fn
+    gc.collect()
+    assert not pointsto_mod._POINTSTO_CACHE
+    assert not memdf_mod._MEMDF_CACHE
+    with pytest.raises(ReferenceError):
+        mdf.resolve_return()
 
 
 def test_two_corpus_tests_back_to_back_one_worker():

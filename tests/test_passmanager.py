@@ -84,3 +84,47 @@ def test_every_bug_option_defaults_off():
     run_pipeline(module, ["instcombine"])
     ops = [getattr(i, "opcode", "") for i in module.get_function("f").instructions()]
     assert "and" not in ops
+
+
+def test_steps_share_snapshots_that_validation_never_mutates(monkeypatch):
+    """One clone per step: each run's ``after`` is the next run's
+    ``before``, across passes and functions.  Validating every pair reads
+    those shared snapshots and must leave them as the pass manager took
+    them."""
+    from repro.ir.printer import print_module
+    from repro.refinement.check import VerifyOptions
+    from repro.suite.unittests import UNIT_TESTS
+    from repro.tv.plugin import validate_pipeline
+
+    taken = []
+    run = PassManager.run
+
+    def run_and_print(self, module):
+        runs = run(self, module)
+        taken.append(
+            [(r, print_module(r.before), print_module(r.after)) for r in runs]
+        )
+        return runs
+
+    monkeypatch.setattr(PassManager, "run", run_and_print)
+    names = {
+        "mem2reg-diamond",
+        "store-forwarding-chain",
+        "phi-constant-merge",
+        "licm-invariant-mul",
+        "gen-1",
+        "gen-5",
+    }
+    inputs = [(t.ir, t.pipeline) for t in UNIT_TESTS if t.name in names]
+    assert len(inputs) == len(names)
+    two_functions = SRC + "\n\ndefine i8 @g(i8 %b) {\nentry:\n  %y = mul i8 %b, 1\n  ret i8 %y\n}"
+    inputs.append((two_functions, ("instsimplify", "instcombine", "dce")))
+    for ir, pipeline in inputs:
+        validate_pipeline(parse_module(ir), list(pipeline), VerifyOptions(timeout_s=30.0))
+    assert len(taken) == len(inputs)
+    for runs in taken:
+        for (prev, _, _), (nxt, _, _) in zip(runs, runs[1:]):
+            assert prev.after is nxt.before
+        for r, before, after in runs:
+            assert print_module(r.before) == before
+            assert print_module(r.after) == after

@@ -196,3 +196,119 @@ def test_incremental_use_after_unsat_assumptions():
     assert s.solve(assumptions=[a, -c]) is SatResult.UNSAT
     assert s.solve(assumptions=[a]) is SatResult.SAT
     assert s.model_value(c)
+
+
+# ---------------------------------------------------------------------------
+# Search lock: (conflicts, decisions, propagations, restarts, learned) must
+# not move when the solver's data structures change.  Any edit that changes
+# a branching choice, a watch order or a learned clause changes these.
+# ---------------------------------------------------------------------------
+
+
+def _signed(rng, num_vars, width):
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), width)]
+
+
+def _search_counts(s):
+    st = s.stats
+    return st.conflicts, st.decisions, st.propagations, st.restarts, st.learned
+
+
+def _pigeonhole(s, pigeons, holes):
+    var = {(p, h): s.new_var() for p in range(pigeons) for h in range(holes)}
+    for p in range(pigeons):
+        s.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                s.add_clause([-var[p1, h], -var[p2, h]])
+
+
+def test_search_lock_random_3sat():
+    rng = random.Random(7)
+    s = SatSolver()
+    s.ensure_vars(120)
+    for _ in range(510):
+        s.add_clause(_signed(rng, 120, 3))
+    assert s.solve() is SatResult.UNSAT
+    assert _search_counts(s) == (899, 1153, 22410, 14, 889)
+
+
+def test_search_lock_pigeonhole_6_into_5():
+    s = SatSolver()
+    _pigeonhole(s, 6, 5)
+    assert s.solve() is SatResult.UNSAT
+    assert _search_counts(s) == (158, 201, 1871, 3, 151)
+
+
+def test_search_lock_bitblasted_i8_mul_commutativity():
+    from repro.smt import terms as T
+    from repro.smt.solver import SmtSolver
+
+    a, b = T.bv_var("a", 8), T.bv_var("b", 8)
+    smt = SmtSolver()
+    smt.assert_term(T.bool_not(T.bv_eq(T.bv_mul(a, b), T.bv_mul(b, a))))
+    # Multiplier equivalence is hard for CDCL: lock the first 1500 conflicts.
+    assert smt.sat.solve(budget=Budget(max_conflicts=1500)) is SatResult.UNKNOWN
+    assert _search_counts(smt.sat) == (1500, 2149, 120971, 24, 1500)
+
+
+def test_search_lock_incremental_under_assumptions():
+    rng = random.Random(4)
+    s = SatSolver()
+    s.ensure_vars(100)
+    for _ in range(380):
+        s.add_clause(_signed(rng, 100, 3))
+    answers = ""
+    for _ in range(60):
+        answers += s.solve(_signed(rng, 100, 4)).value[0]
+        if answers[-1] != "s":
+            break
+        s.add_clause(_signed(rng, 100, 3))
+    assert answers == "s" * 23 + "u"
+    assert _search_counts(s) == (405, 1076, 12231, 7, 404)
+
+
+def _heap_invariant(s):
+    live = {}
+    for neg_act, v in s._order_heap:
+        if -neg_act == s._activity[v]:
+            live[v] = live.get(v, 0) + 1
+    for v in range(1, s.num_vars + 1):
+        unassigned = s._value[v << 1] == -1
+        if unassigned:
+            assert live.get(v) == 1, v
+        assert s._in_heap[v] == (v in live), v
+    assert all(n == 1 for n in live.values())
+
+
+def test_order_heap_stays_bounded_over_incremental_solves():
+    """200 solves under assumptions on one solver: the VSIDS heap keeps one
+    live entry per unassigned variable and at most ~2x num_vars entries in
+    all, and every answer matches a fresh solver's (repeated UNSAT cores
+    under assumptions leave no stale marks behind)."""
+    rng = random.Random(11)
+    n = 60
+    clauses = [_signed(rng, n, 3) for _ in range(200)]
+    s = SatSolver()
+    s.ensure_vars(n)
+    for c in clauses:
+        s.add_clause(c)
+    answers = []
+    for i in range(200):
+        assumptions = _signed(rng, n, 3)
+        result = s.solve(assumptions)
+        answers.append(result)
+        assert len(s._order_heap) <= 2 * s.num_vars + 64
+        _heap_invariant(s)
+        fresh = SatSolver()
+        fresh.ensure_vars(n)
+        for c in clauses:
+            fresh.add_clause(c)
+        assert fresh.solve(assumptions) is result
+        if result is SatResult.UNSAT:
+            assert set(s.unsat_core()) <= set(assumptions)
+        if i % 20 == 19:
+            clauses.append(_signed(rng, n, 3))
+            s.add_clause(clauses[-1])
+    assert SatResult.SAT in answers and SatResult.UNSAT in answers
