@@ -17,7 +17,8 @@ The same transfer functions back both the IR-level analysis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.analysis.framework import RegisterAnalysis, analyze_registers
 from repro.ir.function import Function
@@ -389,6 +390,10 @@ class KnownBitsAnalysis(RegisterAnalysis):
         return None
 
 
-def analyze_known_bits(fn: Function) -> Dict[str, Optional[KnownBits]]:
-    """Known bits for every integer register of ``fn`` (None = no info)."""
-    return analyze_registers(fn, KnownBitsAnalysis())
+def analyze_known_bits(fn: Function) -> Mapping[str, Optional[KnownBits]]:
+    """Known bits for every integer register of ``fn`` (None = no info);
+    read-only, computed once on a sealed function."""
+    return fn.fact(
+        "knownbits",
+        lambda: MappingProxyType(analyze_registers(fn, KnownBitsAnalysis())),
+    )

@@ -30,21 +30,21 @@ refinement query masks through its ``ub`` disjunct.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.analysis.pointsto import (
+    TOP,
     PointsToFact,
     analyze_pointsto,
     assign_alloca_bids,
-    memo_ref,
 )
 from repro.ir.function import Function
 from repro.ir.instructions import Alloca, Call, Load, Ret, Store
 from repro.ir.types import IntType, byte_size
-from repro.ir.values import ConstantInt, GlobalRef, Register
+from repro.ir.values import ConstantInt, ConstantNull, GlobalRef, Register
 from repro.semantics.memory import MemoryLayout
-from repro.smt import terms
 
 
 @dataclass
@@ -90,23 +90,24 @@ class ForwardFact:
     value: object  # the stored ir.values.Value
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemDF:
-    """All memory-dataflow facts for one (unrolled) function.
+    """All memory-dataflow facts for one (unrolled) function, read-only.
 
-    The function is held weakly (``fn_ref``), so the memo entry in
-    :func:`analyze_memdf` dies with its function instead of pinning it.
+    The function is held weakly (``fn_ref``): a sealed function memoizes
+    its MemDF, and a strong reference back would keep both alive past
+    the function's last user.
     """
 
     fn_ref: "weakref.ref[Function]"
     layout: MemoryLayout
-    pointsto: Dict[str, PointsToFact]
-    access: Dict[int, AccessFact] = field(default_factory=dict)  # id(inst)
-    forwards: Dict[int, ForwardFact] = field(default_factory=dict)  # id(load)
-    dead_stores: FrozenSet[int] = frozenset()  # id(store)
-    clobbered: Optional[FrozenSet[int]] = frozenset()  # None = may write anything
-    has_calls: bool = False
-    entry_oob: bool = False  # an always-executed entry-block access is OOB
+    pointsto: Mapping[str, PointsToFact]
+    access: Mapping[int, AccessFact]  # id(inst)
+    forwards: Mapping[int, ForwardFact]  # id(load)
+    dead_stores: FrozenSet[int]  # id(store)
+    clobbered: Optional[FrozenSet[int]]  # None = may write anything
+    has_calls: bool
+    entry_oob: bool  # an always-executed entry-block access is OOB
 
     @property
     def fn(self) -> Function:
@@ -118,21 +119,7 @@ class MemDF:
     # -- consumer queries -----------------------------------------------------
     def pointer_fact(self, value) -> PointsToFact:
         """Abstract location of a pointer operand (⊤ when untracked)."""
-        if isinstance(value, Register):
-            fact = self.pointsto.get(value.name)
-            if fact is not None:
-                return fact
-        elif isinstance(value, GlobalRef):
-            for info in self.layout.shared_blocks:
-                if info.name == f"@{value.name}":
-                    return PointsToFact(frozenset({info.bid}), (0, 0))
-        from repro.ir.values import ConstantNull
-
-        if isinstance(value, ConstantNull):
-            return PointsToFact(frozenset({0}), (0, 0))
-        from repro.analysis.pointsto import TOP
-
-        return TOP
+        return _pointer_fact(self.pointsto, self.layout, value)
 
     def clobbered_shared_writable(self) -> Optional[FrozenSet[int]]:
         """Caller-visible writable bids any store may touch (None = ⊤)."""
@@ -185,17 +172,25 @@ class MemDF:
                 return self._resolve_value(fwd.value, depth - 1)
         return None
 
-    def _def_map(self) -> Dict[str, object]:
-        cached = getattr(self, "_defs", None)
-        if cached is None:
-            cached = {}
-            for block in self.fn.blocks.values():
-                for inst in block.instructions:
-                    name = getattr(inst, "name", None)
-                    if name is not None:
-                        cached[name] = inst
-            self._defs = cached
-        return cached
+    def _def_map(self) -> Mapping[str, object]:
+        fn = self.fn
+        return fn.fact("defs", lambda: MappingProxyType(fn.defined_names()))
+
+
+def _pointer_fact(
+    pointsto: Mapping[str, PointsToFact], layout: MemoryLayout, value
+) -> PointsToFact:
+    if isinstance(value, Register):
+        fact = pointsto.get(value.name)
+        if fact is not None:
+            return fact
+    elif isinstance(value, GlobalRef):
+        for info in layout.shared_blocks:
+            if info.name == f"@{value.name}":
+                return PointsToFact(frozenset({info.bid}), (0, 0))
+    if isinstance(value, ConstantNull):
+        return PointsToFact(frozenset({0}), (0, 0))
+    return TOP
 
 
 def _block_sizes(fn: Function, layout: MemoryLayout) -> Dict[int, int]:
@@ -270,21 +265,18 @@ def _loc_key(value, pts: PointsToFact) -> Optional[Tuple]:
 
 
 def analyze_memdf(fn: Function, layout: MemoryLayout) -> MemDF:
-    """All memory-dataflow facts for ``fn`` (memoized per function)."""
-    cached = _MEMDF_CACHE.get(id(fn))
-    if cached is not None and cached[0]() is fn and cached[1].layout is layout:
-        return cached[1]
-    ref = memo_ref(_MEMDF_CACHE, fn)
-    mdf = _analyze(fn, ref, layout)
-    _MEMDF_CACHE[id(fn)] = (ref, mdf)
-    return mdf
+    """All memory-dataflow facts for ``fn``; computed once per layout
+    value on a sealed function."""
+    return fn.fact(("memdf", layout), lambda: _analyze(fn, layout))
 
 
-def _analyze(fn: Function, ref: "weakref.ref", layout: MemoryLayout) -> MemDF:
+def _analyze(fn: Function, layout: MemoryLayout) -> MemDF:
     STATS.analyses += 1
     pointsto = analyze_pointsto(fn, layout)
-    mdf = MemDF(fn_ref=ref, layout=layout, pointsto=pointsto)
     sizes = _block_sizes(fn, layout)
+    access: Dict[int, AccessFact] = {}
+    forwards: Dict[int, ForwardFact] = {}
+    has_calls = entry_oob = False
     clobbered: Optional[set] = set()
     dead: set = set()
     entry_label = next(iter(fn.blocks)) if fn.blocks else None
@@ -293,21 +285,21 @@ def _analyze(fn: Function, ref: "weakref.ref", layout: MemoryLayout) -> MemDF:
         avail: Dict[Tuple, _Avail] = {}
         for inst in block.non_phi_instructions():
             if isinstance(inst, Call):
-                mdf.has_calls = True
+                has_calls = True
                 clobbered = None  # calls may write anything
                 for entry in avail.values():
                     entry.observed = True
                 avail.clear()
                 continue
             if isinstance(inst, Store):
-                pts = mdf.pointer_fact(inst.pointer)
+                pts = _pointer_fact(pointsto, layout, inst.pointer)
                 nbytes = byte_size(inst.value.type)
                 oob, inbounds = _classify(pts, nbytes, sizes)
-                mdf.access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
+                access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
                 if oob:
                     STATS.oob_accesses += 1
                     if label == entry_label:
-                        mdf.entry_oob = True
+                        entry_oob = True
                 if clobbered is not None:
                     if pts.bids is None:
                         clobbered = None
@@ -335,21 +327,21 @@ def _analyze(fn: Function, ref: "weakref.ref", layout: MemoryLayout) -> MemDF:
                     avail[key] = _Avail(inst, pts, nbytes)
                 continue
             if isinstance(inst, Load):
-                pts = mdf.pointer_fact(inst.pointer)
+                pts = _pointer_fact(pointsto, layout, inst.pointer)
                 nbytes = byte_size(inst.type)
                 oob, inbounds = _classify(pts, nbytes, sizes)
-                mdf.access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
+                access[id(inst)] = AccessFact(pts, nbytes, oob, inbounds)
                 if oob:
                     STATS.oob_accesses += 1
                     if label == entry_label:
-                        mdf.entry_oob = True
+                        entry_oob = True
                 key = _loc_key(inst.pointer, pts)
                 entry = avail.get(key) if key is not None else None
                 if (
                     entry is not None
                     and inst.type == entry.store.value.type
                 ):
-                    mdf.forwards[id(inst)] = ForwardFact(
+                    forwards[id(inst)] = ForwardFact(
                         entry.store, entry.store.value
                     )
                     STATS.forwards += 1
@@ -362,14 +354,14 @@ def _analyze(fn: Function, ref: "weakref.ref", layout: MemoryLayout) -> MemDF:
         for entry in avail.values():
             entry.observed = True
 
-    mdf.dead_stores = frozenset(dead)
-    mdf.clobbered = None if clobbered is None else frozenset(clobbered)
-    return mdf
-
-
-_MEMDF_CACHE: Dict[int, Tuple["weakref.ref", MemDF]] = {}
-
-
-@terms.on_reset
-def _clear_memdf_cache() -> None:
-    _MEMDF_CACHE.clear()
+    return MemDF(
+        fn_ref=weakref.ref(fn),
+        layout=layout,
+        pointsto=pointsto,
+        access=MappingProxyType(access),
+        forwards=MappingProxyType(forwards),
+        dead_stores=frozenset(dead),
+        clobbered=None if clobbered is None else frozenset(clobbered),
+        has_calls=has_calls,
+        entry_oob=entry_oob,
+    )

@@ -25,18 +25,17 @@ agree by construction.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.analysis.framework import RegisterAnalysis, analyze_registers
 from repro.ir.cfg import reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import Alloca, Gep, Load, Select
 from repro.ir.types import ArrayType, IntType, PointerType, VectorType, byte_size
-from repro.ir.values import ConstantInt, ConstantNull, GlobalRef, Register
+from repro.ir.values import ConstantInt, ConstantNull, GlobalRef
 from repro.semantics.memory import MemoryLayout
-from repro.smt import terms
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class PointsToFact:
 TOP = PointsToFact(None, None)
 
 
-def assign_alloca_bids(fn: Function, layout: MemoryLayout) -> Dict[str, int]:
+def assign_alloca_bids(fn: Function, layout: MemoryLayout) -> Mapping[str, int]:
     """Deterministic alloca → block-id assignment shared with the encoder.
 
     Allocas are numbered from ``layout.first_local_bid()`` in reverse
@@ -107,14 +106,18 @@ def assign_alloca_bids(fn: Function, layout: MemoryLayout) -> Dict[str, int]:
     the analysis and the SMT encoding name the same blocks.  Allocas in
     unreachable blocks get no bid (the encoder never reaches them).
     """
+    first = layout.first_local_bid()
+    return fn.fact(("alloca_bids", first), lambda: _alloca_bids(fn, first))
+
+
+def _alloca_bids(fn: Function, next_bid: int) -> Mapping[str, int]:
     bids: Dict[str, int] = {}
-    next_bid = layout.first_local_bid()
     for label in reverse_postorder(fn):
         for inst in fn.blocks[label].instructions:
             if isinstance(inst, Alloca):
                 bids[inst.name] = next_bid
                 next_bid += 1
-    return bids
+    return MappingProxyType(bids)
 
 
 class PointsToAnalysis(RegisterAnalysis):
@@ -197,41 +200,16 @@ def _gep_delta(inst: Gep) -> Optional[int]:
     return total
 
 
-# Facts are memoized per (function, layout) pair: the encoder, the memory
-# dataflow pass, and the prescreen all consume the same run.  Function
-# objects are unhashable, so the table is keyed by id() with a weakref
-# guard against id reuse; the weakref's callback drops the entry when the
-# function dies, and the term-intern reset hook clears the whole table so
-# warm-pool workers can never leak facts across tests.
-_POINTSTO_CACHE: Dict[int, Tuple["weakref.ref", MemoryLayout, Dict[str, PointsToFact]]] = {}
-
-
-def memo_ref(cache: Dict[int, tuple], fn: Function) -> "weakref.ref":
-    """A weak reference to ``fn`` that deletes ``cache[id(fn)]`` when ``fn``
-    dies, for memo tables whose entries are tuples led by this reference:
-    an entry lives exactly as long as its function."""
-    key = id(fn)
-
-    def forget(ref: "weakref.ref") -> None:
-        entry = cache.get(key)
-        if entry is not None and entry[0] is ref:
-            del cache[key]
-
-    return weakref.ref(fn, forget)
-
-
-@terms.on_reset
-def _clear_pointsto_cache() -> None:
-    _POINTSTO_CACHE.clear()
-
-
 def analyze_pointsto(
     fn: Function, layout: MemoryLayout
-) -> Dict[str, PointsToFact]:
-    """Fixpoint register → :class:`PointsToFact` map for ``fn``."""
-    cached = _POINTSTO_CACHE.get(id(fn))
-    if cached is not None and cached[0]() is fn and cached[1] is layout:
-        return cached[2]
-    facts = analyze_registers(fn, PointsToAnalysis(fn, layout))
-    _POINTSTO_CACHE[id(fn)] = (memo_ref(_POINTSTO_CACHE, fn), layout, facts)
-    return facts
+) -> Mapping[str, PointsToFact]:
+    """Fixpoint register → :class:`PointsToFact` map for ``fn`` (read-only).
+
+    The encoder, the memory dataflow pass, the lint and the prescreen all
+    consume the same run: on a sealed function it is computed once per
+    layout value.
+    """
+    return fn.fact(
+        ("pointsto", layout),
+        lambda: MappingProxyType(analyze_registers(fn, PointsToAnalysis(fn, layout))),
+    )

@@ -21,7 +21,8 @@ mirror the poison semantics of :mod:`repro.semantics.encoder`:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from repro.analysis.framework import RegisterAnalysis, analyze_registers
 from repro.analysis.range import IntRange, analyze_ranges
@@ -120,12 +121,19 @@ class PoisonAnalysis(RegisterAnalysis):
 
 
 def analyze_poison(
-    fn: Function, ranges: Optional[Dict[str, Optional[IntRange]]] = None
-) -> Dict[str, bool]:
-    """Poison-free fact per register; pass range facts to prove shifts."""
+    fn: Function, ranges: Optional[Mapping[str, Optional[IntRange]]] = None
+) -> Mapping[str, bool]:
+    """Poison-free fact per register, read-only; proves shifts with
+    ``ranges`` (default: the function's own range facts, in which case a
+    sealed function computes the map once)."""
     if ranges is None:
-        ranges = analyze_ranges(fn)
-    return analyze_registers(fn, PoisonAnalysis(ranges))
+        return fn.fact(
+            "poison",
+            lambda: MappingProxyType(
+                analyze_registers(fn, PoisonAnalysis(analyze_ranges(fn)))
+            ),
+        )
+    return MappingProxyType(analyze_registers(fn, PoisonAnalysis(ranges)))
 
 
 def returns_poison_free(

@@ -15,7 +15,8 @@ analysis widens to the full range after a few visits of the same block
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.framework import RegisterAnalysis, analyze_registers
 from repro.analysis.knownbits import concrete_binop
@@ -241,6 +242,9 @@ class RangeAnalysis(RegisterAnalysis):
         return None
 
 
-def analyze_ranges(fn: Function) -> Dict[str, Optional[IntRange]]:
-    """Unsigned interval for every integer register (None = no info)."""
-    return analyze_registers(fn, RangeAnalysis())
+def analyze_ranges(fn: Function) -> Mapping[str, Optional[IntRange]]:
+    """Unsigned interval for every integer register (None = no info);
+    read-only, computed once on a sealed function."""
+    return fn.fact(
+        "ranges", lambda: MappingProxyType(analyze_registers(fn, RangeAnalysis()))
+    )

@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.cfg import reachable_blocks
-from repro.ir.dominators import DominatorTree
+from repro.ir.dominators import dominator_tree
 from repro.ir.function import Function
 from repro.ir.instructions import (
     BinOp,
@@ -253,7 +253,7 @@ class _FunctionLinter:
 
         reachable = reachable_blocks(fn)
         try:
-            dom = DominatorTree(fn)
+            dom = dominator_tree(fn)
         except (KeyError, IndexError):  # degenerate CFG already reported
             return
 
@@ -639,10 +639,32 @@ class _FunctionLinter:
 
 
 def lint_function(fn: Function, module: Optional[Module] = None) -> List[LintDiagnostic]:
-    """All diagnostics for one function (empty for declarations)."""
+    """All diagnostics for one function (empty for declarations).
+
+    A sealed function is linted once per distinct set of ``module``
+    globals (the only part of the module the rules read); every call
+    counts in :data:`LINT_STATS` as if it had linted afresh.
+    """
     LINT_STATS.functions += 1
     if fn.is_declaration:
         return []
+    diags = fn.fact(("lint", _globals_key(module)), lambda: _lint(fn, module))
+    LINT_STATS.errors += sum(1 for d in diags if d.level == ERROR)
+    LINT_STATS.warnings += sum(1 for d in diags if d.level == WARNING)
+    return list(diags)
+
+
+def _globals_key(module: Optional[Module]) -> Optional[tuple]:
+    """What ``check_memory``'s layout reads of the module's globals."""
+    if module is None:
+        return None
+    return tuple(
+        (name, g.value_type, g.is_constant)
+        for name, g in sorted(module.globals.items())
+    )
+
+
+def _lint(fn: Function, module: Optional[Module]) -> Tuple[LintDiagnostic, ...]:
     linter = _FunctionLinter(fn, module)
     cfg_ok = linter.check_cfg()
     if cfg_ok:
@@ -653,9 +675,7 @@ def lint_function(fn: Function, module: Optional[Module] = None) -> List[LintDia
         # The provenance rules run the dataflow solver; only meaningful
         # (and safe) on IR that already passed the structural checks.
         linter.check_memory()
-    LINT_STATS.errors += sum(1 for d in linter.diags if d.level == ERROR)
-    LINT_STATS.warnings += sum(1 for d in linter.diags if d.level == WARNING)
-    return linter.diags
+    return tuple(linter.diags)
 
 
 def lint_module(module: Module) -> List[LintDiagnostic]:

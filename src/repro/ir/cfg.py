@@ -3,11 +3,14 @@
 Alive2 deliberately does not reuse LLVM's analyses (the compiler under
 test is untrusted), so this module implements them independently; we do
 the same rather than depending on our own optimizer's code.
+
+On a sealed function (:meth:`Function.seal`) the orderings and maps here
+are computed once and read from the function's facts memo.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.ir.function import Function
 
@@ -16,12 +19,16 @@ def successors(fn: Function) -> Dict[str, List[str]]:
     return {label: block.successors() for label, block in fn.blocks.items()}
 
 
-def predecessors(fn: Function) -> Dict[str, List[str]]:
+def predecessors(fn: Function) -> Mapping[str, Sequence[str]]:
     return fn.predecessors()
 
 
-def reverse_postorder(fn: Function) -> List[str]:
+def reverse_postorder(fn: Function) -> Tuple[str, ...]:
     """Blocks in reverse postorder from the entry (unreachable ones excluded)."""
+    return fn.fact("rpo", lambda: _reverse_postorder(fn))
+
+
+def _reverse_postorder(fn: Function) -> Tuple[str, ...]:
     succ = successors(fn)
     entry = next(iter(fn.blocks))
     visited: Set[str] = set()
@@ -42,11 +49,11 @@ def reverse_postorder(fn: Function) -> List[str]:
         else:
             order.append(node)
     order.reverse()
-    return order
+    return tuple(order)
 
 
-def reachable_blocks(fn: Function) -> Set[str]:
-    return set(reverse_postorder(fn))
+def reachable_blocks(fn: Function) -> FrozenSet[str]:
+    return fn.fact("reachable", lambda: frozenset(reverse_postorder(fn)))
 
 
 def remove_unreachable_blocks(fn: Function) -> bool:

@@ -6,19 +6,25 @@ dominance queries its unroller needs when patching loop-exit phis.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, List, Optional
 
 from repro.ir.cfg import predecessors, reverse_postorder
 from repro.ir.function import Function
 
 
+def dominator_tree(fn: Function) -> "DominatorTree":
+    """The dominator tree of ``fn``; computed once on a sealed function."""
+    return fn.fact("domtree", lambda: DominatorTree(fn))
+
+
 class DominatorTree:
-    """Immediate dominators for every reachable block."""
+    """Immediate dominators for every reachable block (read-only)."""
 
     def __init__(self, fn: Function) -> None:
         self.order = reverse_postorder(fn)
         self.entry = self.order[0]
-        self._index = {label: i for i, label in enumerate(self.order)}
+        self._index = MappingProxyType({label: i for i, label in enumerate(self.order)})
         preds = predecessors(fn)
         idom: Dict[str, Optional[str]] = {label: None for label in self.order}
         idom[self.entry] = self.entry
@@ -37,7 +43,12 @@ class DominatorTree:
                 if idom[label] != new_idom:
                     idom[label] = new_idom
                     changed = True
-        self.idom = idom
+        self.idom = MappingProxyType(idom)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in self.__dict__:
+            raise AttributeError(f"DominatorTree.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     def _intersect(self, idom: Dict[str, Optional[str]], a: str, b: str) -> str:
         fa, fb = a, b

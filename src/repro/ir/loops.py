@@ -8,22 +8,50 @@ flagged; the unroller refuses them (they fall into the paper's
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Set
 
 from repro.ir.cfg import predecessors, successors
 from repro.ir.function import Function
 
 
+def loop_forest(fn: Function) -> "LoopForest":
+    """The loop forest of ``fn``, read-only; computed once on a sealed
+    function."""
+    return fn.fact("loops", lambda: LoopForest(fn).read_only())
+
+
 @dataclass
 class Loop:
-    """A natural loop: header plus body (including nested loop blocks)."""
+    """A natural loop: header plus body (including nested loop blocks).
+
+    The parent link is weak, so a forest holds no reference cycle and
+    dies by reference counting with whatever holds it.
+    """
 
     header: str
     body: Set[str] = field(default_factory=set)
-    parent: Optional["Loop"] = None
     children: List["Loop"] = field(default_factory=list)
     irreducible: bool = False
+    _parent: Optional["weakref.ref[Loop]"] = field(
+        default=None, repr=False, compare=False
+    )
+    _read_only: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self._read_only:
+            raise AttributeError(f"loop %{self.header} is read-only")
+        object.__setattr__(self, name, value)
+
+    @property
+    def parent(self) -> Optional["Loop"]:
+        return self._parent() if self._parent is not None else None
+
+    @parent.setter
+    def parent(self, loop: Optional["Loop"]) -> None:
+        self._parent = weakref.ref(loop) if loop is not None else None
 
     def depth(self) -> int:
         d = 1
@@ -40,11 +68,28 @@ class Loop:
 class LoopForest:
     """All loops of a function, with nesting structure."""
 
+    _read_only = False
+
     def __init__(self, fn: Function) -> None:
-        self.fn = fn
         self.loops: List[Loop] = []
         self.loop_of_header: Dict[str, Loop] = {}
-        self._analyze()
+        self._analyze(fn)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self._read_only:
+            raise AttributeError("the loop forest is read-only")
+        object.__setattr__(self, name, value)
+
+    def read_only(self) -> "LoopForest":
+        """Freeze the forest: immutable containers, no attribute writes."""
+        for loop in self.loops:
+            loop.body = frozenset(loop.body)
+            loop.children = tuple(loop.children)
+            object.__setattr__(loop, "_read_only", True)
+        self.loops = tuple(self.loops)
+        self.loop_of_header = MappingProxyType(self.loop_of_header)
+        object.__setattr__(self, "_read_only", True)
+        return self
 
     @property
     def top_level(self) -> List[Loop]:
@@ -63,8 +108,7 @@ class LoopForest:
             visit(root)
         return out
 
-    def _analyze(self) -> None:
-        fn = self.fn
+    def _analyze(self, fn: Function) -> None:
         succ = successors(fn)
         pred = predecessors(fn)
         entry = next(iter(fn.blocks))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function
@@ -23,10 +24,20 @@ class Module:
     def definitions(self) -> List[Function]:
         return [f for f in self.functions.values() if not f.is_declaration]
 
+    def seal(self) -> "Module":
+        """Seal every function (:meth:`Function.seal`) and make the
+        function and global tables read-only; returns the module."""
+        if not isinstance(self.functions, MappingProxyType):
+            for fn in self.functions.values():
+                fn.seal()
+            self.functions = MappingProxyType(self.functions)
+            self.globals = MappingProxyType(self.globals)
+        return self
+
     def clone(self) -> "Module":
-        """Structural copy; used to snapshot IR before running optimization
-        passes.  Globals hold only immutable fields, so a shallow copy of
-        each is enough."""
+        """Structural copy, unsealed; used to snapshot IR before running
+        optimization passes.  Globals hold only immutable fields, so a
+        shallow copy of each is enough."""
         return Module(
             {name: fn.clone() for name, fn in self.functions.items()},
             {name: replace(g) for name, g in self.globals.items()},

@@ -33,9 +33,10 @@ def register_pass(name: str):
 class PassRun:
     """One pass execution over one function.
 
-    ``before`` and ``after`` are snapshots shared with the neighbouring
-    runs (one run's ``after`` is the next run's ``before``): read them,
-    never mutate them.
+    ``before`` and ``after`` are sealed snapshots shared with the
+    neighbouring runs (one run's ``after`` is the next run's ``before``,
+    and a run that changed nothing has ``after is before``): read them;
+    to change one, take a ``clone()``.
     """
 
     pass_name: str
@@ -61,16 +62,19 @@ class PassManager:
         import repro.opt.passes  # noqa: F401  (registers all passes)
 
         runs: List[PassRun] = []
-        # One clone per step: a step's ``after`` is the next step's ``before``.
+        # Snapshots are sealed clones, at most one per step: a step's
+        # ``after`` is the next step's ``before``, and a step that changes
+        # nothing reuses its ``before`` (passes report every change), so
+        # each function version is analysed once however many pairs read it.
         snapshot: Optional[Module] = None
         for name in self.pipeline:
             pass_fn = PASS_REGISTRY.get(name)
             if pass_fn is None:
                 raise KeyError(f"unknown pass {name!r}")
             for fn in module.definitions():
-                before = snapshot if snapshot is not None else module.clone()
+                before = snapshot if snapshot is not None else module.clone().seal()
                 changed = pass_fn(fn, module, self.options)
-                snapshot = module.clone()
+                snapshot = module.clone().seal() if changed else before
                 runs.append(PassRun(name, fn.name, changed, before, snapshot))
         return runs
 

@@ -34,6 +34,7 @@ from repro.harness.deadline import Deadline, DeadlineExceeded
 from repro.harness.faults import maybe_fault
 from repro.ir.function import Function
 from repro.ir.instructions import Alloca
+from repro.ir.loops import loop_forest
 from repro.ir.module import Module
 from repro.ir.types import PointerType
 from repro.ir.unroll import UnrollError, unroll_function
@@ -386,15 +387,19 @@ def _verify_with_deadline(
     # Everything from the clone through encoding counts as the "encode"
     # phase for per-phase attribution.  The checkpoints keep their
     # historical "deepcopy" phase name so TIMEOUT records stay stable.
+    # The unrolled copies are sealed, so every analysis below runs once
+    # per function version; a sealed loop-free function is its own copy.
     encode_start = time.monotonic()
     try:
         maybe_fault("unroll", deadline=deadline, unroll_factor=options.unroll_factor)
         deadline.check("deepcopy")
-        src_unrolled = src.clone()
+        src_unrolled = _copy_to_unroll(src)
         deadline.check("deepcopy")
-        tgt_unrolled = tgt.clone()
-        unroll_function(src_unrolled, options.unroll_factor, deadline=deadline)
-        unroll_function(tgt_unrolled, options.unroll_factor, deadline=deadline)
+        tgt_unrolled = _copy_to_unroll(tgt)
+        for work in (src_unrolled, tgt_unrolled):
+            if not work.sealed:
+                unroll_function(work, options.unroll_factor, deadline=deadline)
+                work.seal()
     except UnrollError:
         return done(
             RefinementResult(Verdict.UNSUPPORTED, unsupported_feature="irreducible-loop")
@@ -472,6 +477,14 @@ def _verify_with_deadline(
     )
     checker.phase_times["encode"] = time.monotonic() - encode_start
     return done(checker.run())
+
+
+def _copy_to_unroll(fn: Function) -> Function:
+    """``fn`` itself when it is sealed and has no loop (unrolling would
+    leave it as it is), else an unsealed clone to unroll."""
+    if fn.sealed and not loop_forest(fn).loops:
+        return fn
+    return fn.clone()
 
 
 class _RefinementChecker:

@@ -243,6 +243,7 @@ class _Encoder:
         self.calls: List[CallRecord] = []
         self.approx_vars: Set[str] = set()
         self.origin: Dict[str, str] = {}
+        self._undef_width: Dict[str, int] = {}  # undef_vars, by name
         self._alloca_bids = assign_alloca_bids(fn, layout)
         self._call_counts: Dict[str, int] = {}
         self._cur_name: Optional[str] = None
@@ -251,6 +252,7 @@ class _Encoder:
     def _fresh_undef(self, width: int, origin: Optional[str] = None) -> BvTerm:
         name = fresh_name(f"{self.prefix}.undef")
         self.undef_vars.append(QuantVar(name, width))
+        self._undef_width[name] = width
         if origin is not None:
             self.origin[name] = origin
         return bv_var(name, width)
@@ -390,8 +392,9 @@ class _Encoder:
         mapping: Dict[str, BvTerm] = {}
         new_names = set()
         for name in sv.undef_vars:
-            width = _width_of_var(name, self.undef_vars)
-            fresh = self._fresh_undef(width, origin=self.origin.get(name))
+            fresh = self._fresh_undef(
+                self._undef_width[name], origin=self.origin.get(name)
+            )
             mapping[name] = fresh
             new_names.add(fresh.payload)
         return SymValue(
@@ -441,7 +444,7 @@ class _Encoder:
                 continue
             # Phi nodes first (they read on the incoming edges).
             for phi in block.phis():
-                self.regs[phi.name] = self._encode_phi(phi, dom, edge_cond)
+                self.regs[phi.name] = self._encode_phi(phi, label, dom, edge_cond)
                 self._fold_reg(phi.name)
             alive = block_dom
             for inst in block.non_phi_instructions():
@@ -502,14 +505,15 @@ class _Encoder:
     def _encode_phi(
         self,
         phi: Phi,
+        label: str,
         dom: Dict[str, BoolTerm],
         edge_cond: Dict[Tuple[str, str], BoolTerm],
     ) -> object:
+        """``phi`` of block ``label``: its incoming values merged under
+        the conditions of their edges into ``label``."""
         result: Optional[object] = None
         for value, pred in phi.incoming:
-            cond = bool_and(
-                dom.get(pred, FALSE), edge_cond.get((pred, _phi_block(phi, self.fn)), FALSE)
-            )
+            cond = bool_and(dom.get(pred, FALSE), edge_cond.get((pred, label), FALSE))
             if cond is FALSE:
                 continue
             sv = self._read(value)
@@ -1491,17 +1495,3 @@ def _bits_of(ty: Type, enc: "_Encoder") -> int:
     if isinstance(ty, PointerType):
         return enc.layout.ptr_bits
     return ty.bit_width
-
-
-def _width_of_var(name: str, declared: List[QuantVar]) -> int:
-    for qv in declared:
-        if qv.name == name:
-            return qv.width
-    raise KeyError(name)
-
-
-def _phi_block(phi: Phi, fn: Function) -> str:
-    for label, block in fn.blocks.items():
-        if phi in block.instructions:
-            return label
-    raise KeyError(phi.name)

@@ -20,7 +20,7 @@ escaped locals are not modified by unknown calls (the same limitation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.ir.types import Type, byte_size
@@ -62,17 +62,19 @@ class BlockInfo:
     is_local: bool = False  # allocas (not observable by the caller)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryLayout:
     """Static block numbering shared between source and target.
 
     Globals and pointer arguments get identical bids in both functions so
     that pointer values and memory contents are directly comparable.
-    Allocas get function-local bids above the shared range.
+    Allocas get function-local bids above the shared range.  Frozen and
+    hashed by value: a sealed function memoizes its memory facts per
+    layout value.
     """
 
     config: MemoryConfig
-    shared_blocks: List[BlockInfo] = field(default_factory=list)
+    shared_blocks: Tuple[BlockInfo, ...] = ()
     num_local_slots: int = 0
 
     @property
@@ -115,7 +117,7 @@ def build_layout(
     for arg_name in pointer_args:
         blocks.append(BlockInfo(bid, f"%{arg_name}", config.arg_block_bytes))
         bid += 1
-    layout = MemoryLayout(config, blocks, num_allocas)
+    layout = MemoryLayout(config, tuple(blocks), num_allocas)
     if layout.num_blocks > config.max_blocks:
         raise ValueError("too many memory blocks for the configured bid width")
     return layout

@@ -298,9 +298,10 @@ def reset_test_state() -> None:
     """Drop what the previous test left behind, before the next one runs.
 
     Clears the interned-term table and, through its reset hooks, every
-    term-keyed memo and the points-to/memdf facts, so a test's peak
-    memory is its own, not the sum of every test before it, and no memo
-    carries over from one test to the next.  The in-process loop of
+    term-keyed memo, so a test's peak memory is its own, not the sum of
+    every test before it, and no memo carries over from one test to the
+    next.  IR facts (CFG, lint, points-to, memdf) live on the sealed
+    function they describe and die with it.  The in-process loop of
     :func:`run_suite` and the cold-pool worker loop both call this before
     every test; warm workers reset only at their intern high-water mark.
     The fresh-name counter keeps running.

@@ -1,7 +1,7 @@
 """Tests for the memory-aware static analysis layer.
 
 Covers the points-to/provenance domain, the store/load dataflow facts,
-the memo-table reset hooks (back-to-back tests in one worker), the
+their memo on sealed functions (back-to-back tests in one worker), the
 memory lint rules, the memdf-driven prescreen rules — and a differential
 fuzz pass that checks every published fact against the concrete
 interpreter on random straight-line memory IR.
@@ -24,7 +24,6 @@ from repro.ir.parser import parse_module
 from repro.ir.types import PointerType
 from repro.refinement.check import Verdict, VerifyOptions, verify_refinement
 from repro.semantics.memory import build_layout
-from repro.smt import terms
 
 
 def _layout_for(mod, fn, config=None):
@@ -230,68 +229,93 @@ def test_memdf_call_escapes_everything():
 
 
 # ---------------------------------------------------------------------------
-# memo tables reset with the intern table (warm-pool workers)
+# facts live on the sealed function they describe
 # ---------------------------------------------------------------------------
 
+STORE_LOAD = """
+define i8 @f(ptr %p, i8 %v) {
+entry:
+  store i8 %v, ptr %p
+  %l = load i8, ptr %p
+  ret i8 %l
+}
+"""
 
-def test_memo_tables_cleared_on_reset():
-    from repro.analysis import memdf as memdf_mod
-    from repro.analysis import pointsto as pointsto_mod
 
-    ir = """
-    define i8 @f(ptr %p, i8 %v) {
-    entry:
-      store i8 %v, ptr %p
-      %l = load i8, ptr %p
-      ret i8 %l
-    }
-    """
-    mod = parse_module(ir)
-    fn = mod.definitions()[0]
+def _sealed_facts():
+    mod = parse_module(STORE_LOAD)
+    fn = mod.definitions()[0].seal()
     layout = _layout_for(mod, fn)
-    mdf = analyze_memdf(fn, layout)
-    assert analyze_memdf(fn, layout) is mdf  # memoized
-    assert pointsto_mod._POINTSTO_CACHE and memdf_mod._MEMDF_CACHE
-    terms.reset_interning()
-    assert not pointsto_mod._POINTSTO_CACHE
-    assert not memdf_mod._MEMDF_CACHE
+    lint_function(fn, mod)
+    return fn, analyze_memdf(fn, layout)
 
 
-def test_memo_entries_die_with_their_function():
-    """Facts never pin their function: once the last reference to an
-    analysed function goes, both memo tables forget it without a reset."""
+def test_sealed_function_and_its_facts_die_together():
+    """No fact holds its function strongly: the last reference going frees
+    the function by reference counting alone, with its facts."""
+    import gc
+    import weakref
+
+    from repro.ir.dominators import dominator_tree
+
+    fn, mdf = _sealed_facts()
+    assert analyze_memdf(fn, mdf.layout) is mdf  # memoized on the function
+    refs = [weakref.ref(x) for x in (fn, mdf, dominator_tree(fn))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fn, mdf
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_memdf_outliving_its_function_raises():
     import gc
 
-    from repro.analysis import memdf as memdf_mod
-    from repro.analysis import pointsto as pointsto_mod
-
-    terms.reset_interning()
-    mod, fn, layout, mdf = _facts(
-        """
-    define i8 @f(ptr %p, i8 %v) {
-    entry:
-      store i8 %v, ptr %p
-      %l = load i8, ptr %p
-      ret i8 %l
-    }
-    """
-    )
+    fn, mdf = _sealed_facts()
     assert mdf.resolve_return() == ("arg", "v", "i8")
-    assert id(fn) in pointsto_mod._POINTSTO_CACHE
-    assert id(fn) in memdf_mod._MEMDF_CACHE
-    del mod, fn
-    gc.collect()
-    assert not pointsto_mod._POINTSTO_CACHE
-    assert not memdf_mod._MEMDF_CACHE
-    with pytest.raises(ReferenceError):
-        mdf.resolve_return()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fn
+        with pytest.raises(ReferenceError):
+            mdf.resolve_return()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_unsealed_analysis_leaves_nothing_behind():
+    """An unsealed function is analysed afresh on every call and keeps no
+    memo, so nothing outlives the call but the returned facts."""
+    import gc
+    import weakref
+
+    mod = parse_module(STORE_LOAD)
+    fn = mod.definitions()[0]
+    layout = _layout_for(mod, fn)
+    first = analyze_memdf(fn, layout)
+    lint_function(fn, mod)
+    assert analyze_memdf(fn, layout) is not first
+    assert not fn.sealed and fn._facts is None
+    fn_ref = weakref.ref(fn)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fn, mod
+        assert fn_ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_two_corpus_tests_back_to_back_one_worker():
     """Regression: one in-process worker runs two memory tests in a row.
 
-    The memo tables are keyed by id(function); without the reset hooks a
-    recycled id could alias the first test's facts into the second.
+    Facts live on each test's own sealed functions, so nothing of the
+    first test can alias into the second.
     """
     from repro.suite.runner import run_suite
     from repro.suite.unittests import UNIT_TESTS

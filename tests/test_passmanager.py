@@ -86,14 +86,56 @@ def test_every_bug_option_defaults_off():
     assert "and" not in ops
 
 
+def _batches():
+    """(name, IR, pipeline, pass options) over the handwritten corpus
+    (bugs injected where a test has one) and fixed-seed genir batches
+    with the e2e benchmark's ``arith`` and ``memloop`` configs."""
+    from repro.ir.printer import print_module
+    from repro.suite.apps import APP_SPECS, O3_PIPELINE
+    from repro.suite.genir import GenConfig, generate_module
+    from repro.suite.unittests import build_corpus
+
+    arith_pipeline = ("instsimplify", "instcombine", "reassociate", "gvn", "simplifycfg", "dce")
+    arith_config = GenConfig(width=8, max_instructions=16)
+    memloop = [s.config for s in APP_SPECS if s.name in ("bzip2", "gzip", "ph7")]
+    bugs = sorted(b.option for b in BUG_REGISTRY if b.pass_name in arith_pipeline)
+    out = []
+    for test in build_corpus():
+        options = {test.bug_option: True} if test.bug_option else {}
+        out.append((test.name, test.ir, test.pipeline, options))
+    for seed in range(16):
+        ir = print_module(generate_module(500 + seed, 1, arith_config))
+        out.append((f"arith-{seed}", ir, arith_pipeline, {}))
+        out.append((f"arith-bug-{seed}", ir, arith_pipeline, {bugs[seed % len(bugs)]: True}))
+        ir = print_module(generate_module(600 + seed, 1, memloop[seed % 3]))
+        out.append((f"memloop-{seed}", ir, tuple(O3_PIPELINE), {}))
+    return out
+
+
+def test_passes_that_report_no_change_leave_the_module_as_it_was():
+    """The pass manager reuses the previous snapshot for a run that reports
+    no change, which is sound only if such a run changed nothing."""
+    from repro.ir.printer import print_module
+
+    no_change = 0
+    for name, ir, pipeline, options in _batches():
+        module = parse_module(ir)
+        for pass_name in pipeline:
+            for fn in module.definitions():
+                before = print_module(module)
+                if not PASS_REGISTRY[pass_name](fn, module, options):
+                    no_change += 1
+                    assert print_module(module) == before, (name, pass_name)
+    assert no_change > 100
+
+
 def test_steps_share_snapshots_that_validation_never_mutates(monkeypatch):
-    """One clone per step: each run's ``after`` is the next run's
-    ``before``, across passes and functions.  Validating every pair reads
-    those shared snapshots and must leave them as the pass manager took
-    them."""
+    """At most one sealed clone per step: each run's ``after`` is the next
+    run's ``before``, across passes and functions, and a run that changed
+    nothing has ``after is before``.  Validating every pair reads those
+    shared snapshots and must leave them as the pass manager took them."""
     from repro.ir.printer import print_module
     from repro.refinement.check import VerifyOptions
-    from repro.suite.unittests import UNIT_TESTS
     from repro.tv.plugin import validate_pipeline
 
     taken = []
@@ -107,24 +149,19 @@ def test_steps_share_snapshots_that_validation_never_mutates(monkeypatch):
         return runs
 
     monkeypatch.setattr(PassManager, "run", run_and_print)
-    names = {
-        "mem2reg-diamond",
-        "store-forwarding-chain",
-        "phi-constant-merge",
-        "licm-invariant-mul",
-        "gen-1",
-        "gen-5",
-    }
-    inputs = [(t.ir, t.pipeline) for t in UNIT_TESTS if t.name in names]
-    assert len(inputs) == len(names)
+    inputs = [(ir, pipeline, options) for _, ir, pipeline, options in _batches()]
     two_functions = SRC + "\n\ndefine i8 @g(i8 %b) {\nentry:\n  %y = mul i8 %b, 1\n  ret i8 %y\n}"
-    inputs.append((two_functions, ("instsimplify", "instcombine", "dce")))
-    for ir, pipeline in inputs:
-        validate_pipeline(parse_module(ir), list(pipeline), VerifyOptions(timeout_s=30.0))
+    inputs.append((two_functions, ("instsimplify", "instcombine", "dce"), {}))
+    options = VerifyOptions(timeout_s=30.0, max_conflicts=300)
+    for ir, pipeline, pass_options in inputs:
+        validate_pipeline(parse_module(ir), list(pipeline), options, pass_options)
     assert len(taken) == len(inputs)
     for runs in taken:
         for (prev, _, _), (nxt, _, _) in zip(runs, runs[1:]):
             assert prev.after is nxt.before
         for r, before, after in runs:
+            assert (r.after is r.before) == (not r.changed)
+            for snapshot in (r.before, r.after):
+                assert all(fn.sealed for fn in snapshot.functions.values())
             assert print_module(r.before) == before
             assert print_module(r.after) == after

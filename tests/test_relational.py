@@ -16,10 +16,8 @@ import random
 
 import pytest
 
-from repro.analysis.align import align_blocks
 from repro.analysis.prescreen import (
     RELATIONAL_RULES,
-    STATS as PRESCREEN_STATS,
     relational_rule_hits,
 )
 from repro.analysis.relational import STATS as REL_STATS, analyze_relational

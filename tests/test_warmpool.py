@@ -10,9 +10,6 @@ under ``--certify``, intern-table trimming, and injected worker deaths.
 
 import hashlib
 import os
-import threading
-
-import pytest
 
 from repro.engine import qcache
 from repro.engine.qcache import (
