@@ -30,8 +30,9 @@ pool of worker processes:
   one chunk per worker;
 * workers reset the term intern table before every test, bounding
   memory across long runs, and each owns a private
-  :class:`~repro.engine.qcache.QueryCache` (sharing the same on-disk
-  file when one is configured — appends are line-atomic and loading is
+  :class:`~repro.engine.qcache.QueryCache` that loads every shard of the
+  on-disk cache when one is configured and appends each store to the
+  shard its digest routes to (appends are line-atomic and loading is
   corruption-tolerant, so concurrent writers are safe).
 """
 
@@ -100,55 +101,20 @@ def _init_worker(
     cache_enabled: bool,
     cache_path: Optional[str],
     cache_shards: int = 1,
-    jobs: int = 1,
 ) -> None:
     _worker_state["options"] = options
     _worker_state["inject_bugs"] = inject_bugs
     _worker_state["batch"] = batch
     _worker_state["ladder"] = ladder
     _worker_state["fault_plan"] = fault_plan
-    _worker_state["cache_enabled"] = cache_enabled
-    _worker_state["cache_path"] = cache_path
-    _worker_state["cache_shards"] = max(1, cache_shards)
-    _worker_state["jobs"] = max(1, jobs)
-    # Unsharded caches load eagerly at fork time, exactly as before.
-    # Sharded caches are created lazily by the first chunk, which
-    # carries the owner hint this worker's shard slice is derived from
-    # (ProcessPoolExecutor has no per-worker initargs to carry it here).
     _worker_state["cache"] = (
-        qcache.QueryCache(cache_path)
-        if cache_enabled and cache_shards <= 1
+        qcache.QueryCache(cache_path, shards=max(1, cache_shards))
+        if cache_enabled
         else None
     )
 
 
-def _chunk_cache(owner_hint: Optional[int]) -> Optional["qcache.QueryCache"]:
-    """This worker's cache, creating the sharded tier on first use.
-
-    ``owner_hint`` (the chunk's sequence number modulo ``jobs``) picks
-    which shard slice this worker loads and appends; two workers landing
-    on the same hint is harmless — shard appends are line-atomic and
-    reads of unowned shards just miss to the solver.
-    """
-    if not _worker_state.get("cache_enabled"):
-        return None
-    cache = _worker_state.get("cache")
-    if cache is None:
-        shards = _worker_state["cache_shards"]
-        jobs = _worker_state["jobs"]
-        owned = None
-        if shards > 1 and owner_hint is not None:
-            owned = tuple(
-                k for k in range(shards) if k % jobs == owner_hint % jobs
-            )
-        cache = qcache.QueryCache(
-            _worker_state["cache_path"], shards=shards, owned=owned
-        )
-        _worker_state["cache"] = cache
-    return cache
-
-
-def _run_chunk(tests: List[UnitTest], owner_hint: Optional[int] = None) -> dict:
+def _run_chunk(tests: List[UnitTest]) -> dict:
     """Run a chunk of tests in this worker; returns journal-ready records
     plus this worker's cache counters (pid-keyed by the parent so the
     suite summary can report per-worker load bytes).
@@ -159,7 +125,7 @@ def _run_chunk(tests: List[UnitTest], owner_hint: Optional[int] = None) -> dict:
     """
     from repro.suite.runner import _run_one_test, reset_test_state
 
-    cache = _chunk_cache(owner_hint)
+    cache = _worker_state["cache"]
     out: List[dict] = []
     with faults.activate(_worker_state["fault_plan"]), qcache.activate(cache):
         for test in tests:
@@ -236,7 +202,6 @@ def run_parallel(
         cache_enabled,
         cache_path,
         cache_shards,
-        jobs,
     )
     attempts: List[int] = [0] * len(tests)
     records: Dict[int, TestRecord] = {}
@@ -282,10 +247,8 @@ def run_parallel(
             initargs=initargs,
         ) as pool:
             futures = {
-                pool.submit(
-                    _run_chunk, [tests[i] for i in chunk], seq % max(1, jobs)
-                ): chunk
-                for seq, chunk in enumerate(chunks)
+                pool.submit(_run_chunk, [tests[i] for i in chunk]): chunk
+                for chunk in chunks
             }
             for future in as_completed(futures):
                 chunk = futures[future]
@@ -333,9 +296,7 @@ def run_parallel(
                     initializer=_init_worker,
                     initargs=initargs,
                 ) as pool:
-                    result = pool.submit(
-                        _run_chunk, [test], idx % max(1, jobs)
-                    ).result()
+                    result = pool.submit(_run_chunk, [test]).result()
                 finish(idx, TestRecord.from_json(absorb(result)[0]))
                 break
             except (KeyboardInterrupt, SystemExit):

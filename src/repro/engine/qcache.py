@@ -21,18 +21,15 @@ The cache is **two-tier** and **sharded**:
   ``O_APPEND`` ``write`` syscall so concurrent single-line appends from
   many workers never interleave mid-line, and loading quarantines
   (counts, logs, and skips) corrupted or truncated lines instead of
-  raising.  :meth:`QueryCache.heal` atomically rewrites each owned shard
-  file with only its valid entries.
+  raising.  :meth:`QueryCache.heal` atomically rewrites each shard file
+  with only its valid entries.
 
 Entries are routed to shards by a prefix of the canonical digest
 (:func:`shard_index`), which is deterministic across processes: the same
 query always lands in the same shard no matter which worker computed it.
-A worker can therefore **own a subset of the shards** — it loads and
-appends only the files it owns, instead of every worker parsing the
-whole cache on startup the way the old single-file layout forced.
-Non-owned shards still work as a process-local memory tier; their
-entries simply are not persisted by this worker (the shard's owner will
-persist its own computations).
+Every worker loads every shard and appends each store to the shard its
+digest routes to, so an entry one worker computed answers every other
+worker's next run.
 
 Legacy single-file caches (the pre-shard layout, where ``path`` itself
 is the JSONL file) are migrated by a compat loader on first sharded
@@ -55,6 +52,17 @@ Soundness policy (unchanged from the unsharded cache):
   certificate (``certified``); under ``--certify`` an *uncertified*
   ``unsat`` entry is treated as a miss and re-solved, so a certified run
   never replays an unchecked claim (CACHE_VERSION 3).
+
+The **pair tier** sits in front of all of that.  A pair entry holds the
+whole result of one verification job (one src/tgt pair), keyed by
+:func:`pair_fingerprint` over every input the job reads — the printed
+functions and modules, every option, the lint flag and a digest of this
+package's own source — so a repeated pair skips lint, unroll, encoding,
+the analyses and every query.  The same policy holds one level up: only
+definitive verdicts are stored (never TIMEOUT, OOM, CRASH or
+SOLVER_UNSOUND, never a degraded result or one with a rejected proof
+certificate), no timing is stored, and loading refuses a pair line whose
+verdict is not storable or whose payload is malformed.
 """
 
 from __future__ import annotations
@@ -66,9 +74,16 @@ import os
 import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.ir.function import Function
+from repro.ir.module import Module
+from repro.ir.printer import print_function
 from repro.smt.terms import Term
+
+if TYPE_CHECKING:  # check.py imports this module
+    from repro.refinement.check import RefinementResult, VerifyOptions
 
 logger = logging.getLogger("repro.engine.qcache")
 
@@ -88,6 +103,29 @@ CACHE_VERSION = 5
 #: resource limits.  Exhaustion verdicts (timeout/memout) are never
 #: cached — see the module docstring.
 _DEFINITIVE = ("sat", "unsat")
+
+#: The verdicts a pair entry may hold: everything that is not resource
+#: exhaustion, a contained crash, or a solver caught lying.
+PAIR_VERDICTS = frozenset(
+    ("correct", "incorrect", "unsupported", "approx", "empty-pre")
+)
+
+#: The note a replayed pair result carries.
+PAIR_NOTE = "pair-cache: replayed a stored result of this exact job"
+
+#: Result fields a pair entry stores, with their JSON types; timing
+#: (``elapsed_s``, ``phase_times``) is deliberately absent.
+_PAIR_FIELDS = {
+    "verdict": str,
+    "failed_check": (str, type(None)),
+    "counterexample": dict,
+    "approx_features": list,
+    "unsupported_feature": (str, type(None)),
+    "degradations": list,
+    "diagnostic": (dict, type(None)),
+    "certificates": list,
+    "notes": list,
+}
 
 #: Default hot-tier bounds, cache-wide (split evenly across shards).
 #: Generous enough that ordinary corpus runs never evict; the point is
@@ -194,19 +232,128 @@ def canonical_fingerprint(
     return digest, rename
 
 
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over this package's ``.py`` files, computed once per process.
+
+    Part of every pair key, so a pair entry written by other code (say,
+    before a fix to the encoder) never replays into this code.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            h.update(json.dumps([rel, len(data)]).encode("utf-8"))
+            h.update(data)
+    return h.hexdigest()
+
+
+def _function_text(fn: Function) -> str:
+    """``fn`` as the verifier reads it: its printed text plus what the
+    printer does not show (the label fields, and each instruction's
+    result and operand types, which it prints only where the syntax
+    needs them); memoized on a sealed function."""
+    return fn.fact(
+        "pair-text",
+        lambda: json.dumps(
+            [
+                print_function(fn),
+                list(fn.duplicate_labels),
+                sorted(fn.sink_labels),
+                [
+                    [str(getattr(inst, "type", None))]
+                    + [str(op.type) for op in inst.operands]
+                    for inst in fn.instructions()
+                ],
+            ]
+        ),
+    )
+
+
+def pair_fingerprint(
+    src: Function,
+    tgt: Function,
+    module_src: Module,
+    module_tgt: Optional[Module],
+    options: "VerifyOptions",
+    lint: bool,
+) -> str:
+    """The pair-tier key of one verification job: a SHA-256 over every
+    input the job reads, so two jobs that could differ in verdict never
+    share a key.
+
+    Covers this package's source (:func:`source_digest`), every option
+    and the lint flag, src and tgt with their label fields and types,
+    and both modules' globals (printed, plus ``align`` and the
+    initializer's type, which the printer omits) and functions, so
+    callee declarations and their attributes count.
+    Every part is length-prefixed; nothing depends on ``PYTHONHASHSEED``.
+    """
+    module_tgt = module_src if module_tgt is None else module_tgt
+    h = hashlib.sha256()
+
+    def part(text: str) -> None:
+        data = text.encode("utf-8")
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+
+    part("pair")
+    part(source_digest())
+    part(json.dumps([options.to_json(), bool(lint)], sort_keys=True))
+    part(_function_text(src))
+    part(_function_text(tgt))
+    for module in (module_src, module_tgt):
+        part(
+            json.dumps(
+                [
+                    [str(g), g.align, str(getattr(g.initializer, "type", None))]
+                    for g in module.globals.values()
+                ]
+            )
+        )
+        part(str(len(module.functions)))
+        for fn in module.functions.values():
+            part(_function_text(fn))
+    return h.hexdigest()
+
+
+def _pair_payload_ok(payload: object) -> bool:
+    """A stored pair result is well-formed and storable."""
+    if not isinstance(payload, dict):
+        return False
+    for name, kind in _PAIR_FIELDS.items():
+        if not isinstance(payload.get(name), kind):
+            return False
+    return (
+        payload["verdict"] in PAIR_VERDICTS
+        and not payload["degradations"]
+        and all(isinstance(n, str) for n in payload["notes"])
+        and all(isinstance(f, str) for f in payload["approx_features"])
+        and all(
+            isinstance(c, dict) and c.get("valid") is True
+            for c in payload["certificates"]
+        )
+    )
+
+
 class CacheShard:
     """One shard: a bounded in-memory LRU over one append-only JSONL file.
 
-    ``owned`` controls the disk tier: an owned shard loads its file on
-    construction and appends every store; a non-owned shard is a pure
-    memory tier (its owner elsewhere persists that slice of the digest
-    space).  Either way the LRU bounds hold.
+    A shard with a file loads it on construction and appends every
+    store; without one it is a pure memory tier.  Either way the LRU
+    bounds hold.
     """
 
     __slots__ = (
         "index",
         "path",
-        "owned",
         "max_entries",
         "max_bytes",
         "entries",
@@ -222,13 +369,11 @@ class CacheShard:
         index: int,
         path: Optional[str],
         *,
-        owned: bool = True,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
         self.index = index
         self.path = path
-        self.owned = owned
         self.max_entries = max(1, max_entries)
         self.max_bytes = max(1, max_bytes)
         self.entries: "OrderedDict[str, dict]" = OrderedDict()
@@ -237,7 +382,7 @@ class CacheShard:
         self.dropped_lines = 0
         self.loaded_entries = 0
         self.loaded_bytes = 0
-        if self.owned and self.path is not None:
+        if self.path is not None:
             self._load()
 
     # -- persistence -------------------------------------------------------
@@ -251,7 +396,11 @@ class CacheShard:
             not isinstance(entry, dict)
             or entry.get("v") != CACHE_VERSION
             or not isinstance(entry.get("key"), str)
-            or entry.get("result") not in _DEFINITIVE
+            or not (
+                _pair_payload_ok(entry.get("pair"))
+                if entry.get("kind") == "pair"
+                else entry.get("result") in _DEFINITIVE
+            )
         ):
             self.dropped_lines += 1
             logger.warning(
@@ -373,7 +522,7 @@ class CacheShard:
 
     def put(self, key: str, entry: dict) -> None:
         self._put_mem(key, entry)
-        if self.owned and self.path is not None:
+        if self.path is not None:
             self._append(entry)
 
     def set_bounds(self, max_entries: int, max_bytes: int) -> None:
@@ -384,7 +533,6 @@ class CacheShard:
     def counters(self) -> Dict[str, object]:
         return {
             "shard": self.index,
-            "owned": self.owned,
             "entries": len(self.entries),
             "mem_bytes": self.mem_bytes,
             "evictions": self.evictions,
@@ -404,11 +552,13 @@ class QueryCache:
 
     ``shards=1`` (the default) is the legacy layout: one shard whose
     file is ``path`` itself.  With ``shards=N`` entries are routed by
-    digest prefix to ``path.shard-KK-of-NN`` files, and ``owned`` (an
-    iterable of shard indices, default: all) selects which shards this
-    instance loads from and appends to — the mechanism that lets a pool
-    of workers split the disk tier instead of every worker parsing all
-    of it.
+    digest prefix to ``path.shard-KK-of-NN`` files; every instance loads
+    all of them.
+
+    Two kinds of entry share the shards: *query* entries (one solver
+    query's verdict, :meth:`lookup`/:meth:`store`) and *pair* entries
+    (one whole verification job's result, :meth:`lookup_pair`/
+    :meth:`store_pair`).  Neither ever answers a lookup of the other.
     """
 
     def __init__(
@@ -416,7 +566,6 @@ class QueryCache:
         path: Optional[str] = None,
         *,
         shards: int = 1,
-        owned=None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
@@ -427,16 +576,12 @@ class QueryCache:
                 f"cache shard count must be a positive integer, got {shards}"
             )
         self.shards = shards
-        if owned is None:
-            owned_set = set(range(self.shards))
-        else:
-            owned_set = {int(k) for k in owned if 0 <= int(k) < self.shards}
-        self.owned = frozenset(owned_set)
         self.max_entries = max(1, max_entries)
         self.max_bytes = max(1, max_bytes)
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.pair_hits = 0
         if self.path is not None:
             self._warn_shard_mismatch()
         if self.path is not None and self.shards > 1:
@@ -449,7 +594,6 @@ class QueryCache:
                 shard_path(self.path, k, self.shards)
                 if self.path is not None
                 else None,
-                owned=k in self.owned,
                 max_entries=per_entries,
                 max_bytes=per_bytes,
             )
@@ -509,7 +653,7 @@ class QueryCache:
                 raw = fh.read().decode("utf-8", errors="replace")
         except OSError:
             return
-        scratch = CacheShard(0, None, owned=False)
+        scratch = CacheShard(0, None)
         moved = 0
         for line in raw.splitlines():
             line = line.strip()
@@ -547,8 +691,8 @@ class QueryCache:
 
     # -- persistence -------------------------------------------------------
     def heal(self) -> int:
-        """Self-heal every owned shard file; returns lines discarded."""
-        return sum(s.heal() for s in self._shards if s.owned)
+        """Self-heal every shard file; returns lines discarded."""
+        return sum(s.heal() for s in self._shards)
 
     # -- lookup / store ----------------------------------------------------
     def lookup(
@@ -563,8 +707,10 @@ class QueryCache:
         model, not by a proof.
         """
         entry = self._shard(digest).get(digest)
-        if entry is not None and entry["result"] not in _DEFINITIVE:
-            entry = None  # belt-and-braces: such entries are never stored
+        if entry is not None and (
+            entry.get("kind") == "pair" or entry.get("result") not in _DEFINITIVE
+        ):
+            entry = None  # a pair entry, or one that is never stored
         if (
             entry is not None
             and require_certified_unsat
@@ -601,6 +747,51 @@ class QueryCache:
         }
         self._shard(digest).put(digest, entry)
         self.stores += 1
+
+    def lookup_pair(self, digest: str) -> Optional["RefinementResult"]:
+        """The stored result of the job keyed ``digest``, or None.
+
+        Counts in :attr:`hits`/:attr:`misses` like a query lookup.  Every
+        hit is a fresh :class:`~repro.refinement.check.RefinementResult`
+        with no timing and :data:`PAIR_NOTE` appended to its notes.
+        """
+        from repro.refinement.check import RefinementResult
+
+        entry = self._shard(digest).get(digest)
+        if entry is None or entry.get("kind") != "pair":
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.pair_hits += 1
+        result = RefinementResult.from_json(entry["pair"])
+        result.notes.append(PAIR_NOTE)
+        return result
+
+    def store_pair(self, digest: str, result: "RefinementResult") -> bool:
+        """Store one job's result under ``digest`` if it is storable.
+
+        Storable means a verdict in :data:`PAIR_VERDICTS`, no degradation
+        step, and no rejected proof certificate.  Timing is dropped: the
+        ``elapsed_s``/``phase_times`` fields and the ``phase-times:``
+        note.  The payload goes through JSON once, so a memory hit and a
+        disk hit replay the same thing.  Returns whether it was stored.
+        """
+        data = result.to_json(full_certificates=True)
+        for name in ("elapsed_s", "phase_times"):
+            del data[name]
+        data["notes"] = [
+            n for n in data["notes"] if not n.startswith("phase-times:")
+        ]
+        try:
+            payload = json.loads(json.dumps(data, sort_keys=True))
+        except (TypeError, ValueError):
+            return False
+        if not _pair_payload_ok(payload):
+            return False
+        entry = {"v": CACHE_VERSION, "key": digest, "kind": "pair", "pair": payload}
+        self._shard(digest).put(digest, entry)
+        self.stores += 1
+        return True
 
     # -- bounds (lru-shrink degradation rung) ------------------------------
     def shrink(self) -> Optional[Tuple[int, int]]:
@@ -639,12 +830,12 @@ class QueryCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "pair_hits": self.pair_hits,
             "stores": self.stores,
             "entries": len(self),
             "quarantined": self.dropped_lines,
             "hit_rate": round(self.hit_rate, 4),
             "shards": self.shards,
-            "owned_shards": len(self.owned),
             "load_entries": sum(s.loaded_entries for s in self._shards),
             "load_bytes": sum(s.loaded_bytes for s in self._shards),
             "evictions": sum(s.evictions for s in self._shards),

@@ -26,10 +26,10 @@ heartbeats, hang SIGKILL, restart backoff and a circuit breaker — so
   request with the full retry budget, where a repeat death is
   attributable to one test (mirroring the cold pool's
   collapse-then-isolate ladder);
-* **sharded cache tier**: with ``cache_shards > 1`` each worker slot
-  owns a stable slice of the shard files (see
-  :mod:`repro.engine.qcache`), so it loads and appends only ``1/N`` of
-  the disk tier instead of parsing the whole file on startup;
+* **shared cache tier**: every worker loads every shard file of the
+  query cache once, at start, and appends each entry to the shard its
+  digest routes to (see :mod:`repro.engine.qcache`), so a pair or query
+  any worker stored answers every worker's next run;
 * **measurable wins**: every chunk reply carries the worker's cache
   counters; :attr:`WarmPool.worker_cache` maps worker pid to its latest
   counters (hits, misses, per-shard load bytes/entries, evictions) for

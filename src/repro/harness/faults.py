@@ -177,6 +177,15 @@ def current_test(name: str) -> Iterator[None]:
             mod.reset_unsound()
 
 
+def armed() -> bool:
+    """Whether the active plan holds a fault for the current test."""
+    return (
+        _active_plan is not None
+        and _current_test is not None
+        and _current_test in _active_plan.faults
+    )
+
+
 def maybe_fault(
     site: str,
     deadline: Optional[Deadline] = None,

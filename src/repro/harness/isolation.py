@@ -20,6 +20,8 @@ from __future__ import annotations
 import traceback
 from typing import Callable, Dict, Optional
 
+from repro.engine import qcache
+from repro.harness import faults
 from repro.harness.deadline import DeadlineExceeded
 from repro.harness.degrade import DegradationLadder, run_with_degradation
 from repro.ir.function import Function
@@ -121,12 +123,38 @@ def run_verification_job(
     """The fault-tolerant replacement for a bare ``verify_refinement``.
 
     Lint-gates the pair, crash-isolates every attempt, and walks the
-    degradation ladder on TIMEOUT/OOM.  This is what the TV plugin and
-    the suite runner call; ``verify_refinement`` itself stays a pure
-    library function.
+    degradation ladder on TIMEOUT/OOM.  This is what the TV plugin, the
+    suite runner and the serve workers call; ``verify_refinement`` itself
+    stays a pure library function.
+
+    With a query cache active, the whole job is first looked up in its
+    pair tier (:func:`repro.engine.qcache.pair_fingerprint`): a hit
+    returns the stored result before lint, and a miss runs the job and
+    stores a storable result.  A test with an armed fault skips the tier,
+    since the fault plan is an input the key does not cover.
     """
     options = options or VerifyOptions()
+    cache = qcache.active()
+    if cache is None or faults.armed():
+        return _run_job(src, tgt, module_src, module_tgt, options, ladder, lint)
+    key = qcache.pair_fingerprint(src, tgt, module_src, module_tgt, options, lint)
+    hit = cache.lookup_pair(key)
+    if hit is not None:
+        return hit
+    result = _run_job(src, tgt, module_src, module_tgt, options, ladder, lint)
+    cache.store_pair(key, result)
+    return result
 
+
+def _run_job(
+    src: Function,
+    tgt: Function,
+    module_src: Module,
+    module_tgt: Optional[Module],
+    options: VerifyOptions,
+    ladder: Optional[DegradationLadder],
+    lint: bool,
+) -> RefinementResult:
     if lint:
         # A crash *inside the linter* must not block verification; only a
         # clean UNSUPPORTED finding gates.

@@ -21,6 +21,7 @@ classes.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -292,6 +293,41 @@ class RefinementResult:
             "notes": list(self.notes),
             "phase_times": {k: round(v, 6) for k, v in self.phase_times.items()},
         }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "RefinementResult":
+        """Inverse of :meth:`to_json` (exact for ``full_certificates=True``;
+        counterexample values come back as the scalars ``to_json`` wrote).
+        Missing fields take the dataclass defaults."""
+        from repro.sat.proof import Certificate
+
+        return cls(
+            Verdict(data["verdict"]),
+            failed_check=data.get("failed_check"),
+            counterexample=dict(data.get("counterexample") or {}),
+            approx_features=list(data.get("approx_features") or []),
+            unsupported_feature=data.get("unsupported_feature"),
+            elapsed_s=float(data.get("elapsed_s", 0.0)),
+            degradations=list(data.get("degradations") or []),
+            diagnostic=copy.deepcopy(data.get("diagnostic")),
+            certificates=[
+                Certificate(
+                    query=c.get("query", ""),
+                    digest=c.get("digest", ""),
+                    valid=bool(c["valid"]),
+                    reason=c.get("reason", ""),
+                    lemmas=int(c.get("lemmas", 0)),
+                    deletions=int(c.get("deletions", 0)),
+                    checked_lemmas=int(c.get("checked_lemmas", 0)),
+                    core=tuple(int(lit) for lit in c.get("core", ())),
+                )
+                for c in data.get("certificates") or []
+            ],
+            notes=list(data.get("notes") or []),
+            phase_times={
+                k: float(v) for k, v in (data.get("phase_times") or {}).items()
+            },
+        )
 
     def describe(self) -> str:
         if self.verdict is Verdict.CORRECT:

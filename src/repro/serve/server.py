@@ -461,9 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         metavar="N",
         help="split the query cache into N digest-routed shard files; "
-        "each worker slot loads/appends only the shards it owns "
-        "(1 = legacy single-file layout; existing files migrate "
-        "automatically)",
+        "every worker loads all of them and appends each entry to the "
+        "shard it routes to (1 = legacy single-file layout; existing "
+        "files migrate automatically)",
     )
     parser.add_argument(
         "--conn-threads",

@@ -94,11 +94,9 @@ class ServeConfig:
     drain_timeout_s: float = 10.0
     cache_enabled: bool = False
     cache_path: Optional[str] = None
-    #: Shard count for the two-tier query cache.  With ``shards > 1``
-    #: each worker slot owns the shard indices congruent to its slot
-    #: index, so it loads and appends only its slice of the disk tier
-    #: (see :mod:`repro.engine.qcache`); slot indices are stable across
-    #: restarts, so a respawned worker re-adopts the same shards.
+    #: Shard count for the two-tier query cache.  Every worker loads
+    #: every shard and appends each store to the shard its digest routes
+    #: to (see :mod:`repro.engine.qcache`).
     cache_shards: int = 1
     #: Interned-term high-water mark: a worker whose intern table grows
     #: past this resets it between tasks (warm-universe hygiene — the
@@ -122,7 +120,6 @@ class _WorkerConfig:
     cache_enabled: bool
     cache_path: Optional[str]
     cache_shards: int
-    cache_owned: Optional[Tuple[int, ...]]
     intern_limit: int
     fault_plan: Optional[FaultPlan]
     fault_attempts: Tuple[int, ...]
@@ -259,11 +256,7 @@ def _worker_main(conn, cfg: _WorkerConfig) -> None:
     from repro.tv import plugin as _plugin  # noqa: F401
 
     cache = (
-        QueryCache(
-            cfg.cache_path,
-            shards=cfg.cache_shards,
-            owned=cfg.cache_owned,
-        )
+        QueryCache(cfg.cache_path, shards=cfg.cache_shards)
         if (cfg.cache_enabled or cfg.cache_path is not None)
         else None
     )
@@ -557,23 +550,11 @@ class Supervisor:
     # -- worker management -------------------------------------------------
     def _spawn(self, slot: _Slot) -> None:
         cfg = self.config
-        owned = None
-        if cfg.cache_shards > 1:
-            # Slot indices are stable across restarts, so ownership is a
-            # fixed partition: slot i owns the shard indices congruent
-            # to i modulo the pool size.  Every shard has exactly one
-            # owner when shards >= workers; a replacement worker re-loads
-            # exactly the slice its predecessor owned.
-            n = max(1, len(self._slots))
-            owned = tuple(
-                k for k in range(cfg.cache_shards) if k % n == slot.idx % n
-            )
         wcfg = _WorkerConfig(
             heartbeat_interval_s=cfg.heartbeat_interval_s,
             cache_enabled=cfg.cache_enabled,
             cache_path=cfg.cache_path,
             cache_shards=cfg.cache_shards,
-            cache_owned=owned,
             intern_limit=cfg.intern_limit,
             fault_plan=cfg.fault_plan,
             fault_attempts=tuple(cfg.fault_attempts),

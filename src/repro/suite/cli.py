@@ -60,9 +60,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--cache-shards", type=int, default=8, metavar="N",
         help="split the persistent query cache into N digest-routed shard "
-             "files so each worker loads/appends only its owned slice; 1 "
-             "keeps the legacy single-file layout (existing files are "
-             "migrated automatically on first sharded open)",
+             "files; every worker loads all of them and appends each entry "
+             "to the shard it routes to; 1 keeps the legacy single-file "
+             "layout (existing files are migrated automatically on first "
+             "sharded open)",
     )
     parser.add_argument(
         "--warm-pool", action="store_true",
@@ -246,6 +247,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"query cache: {t.qcache_hits} hits / {t.qcache_misses} misses "
                 f"({t.qcache_hit_rate:.0%} hit rate)"
             )
+        if t.qcache_pair_hits:
+            print(
+                f"pair cache: {t.qcache_pair_hits} pairs replayed "
+                f"without verification"
+            )
         if t.qcache_load_entries or t.qcache_load_bytes or t.qcache_evictions:
             print(
                 f"cache tier: {t.qcache_load_entries} entries / "
@@ -256,11 +262,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             for pid in sorted(outcome.worker_cache):
                 c = outcome.worker_cache[pid]
                 print(
-                    f"  pid {pid}: owned {c.get('owned_shards')}/"
-                    f"{c.get('shards')} shards, loaded "
+                    f"  pid {pid}: {c.get('shards')} shards, loaded "
                     f"{c.get('load_entries', 0)} entries / "
                     f"{c.get('load_bytes', 0)} bytes, "
-                    f"{c.get('hits', 0)} hits / {c.get('misses', 0)} misses"
+                    f"{c.get('hits', 0)} hits / {c.get('misses', 0)} misses, "
+                    f"{c.get('pair_hits', 0)} pair hits"
                 )
         if t.prescreen_hits or t.prescreen_misses:
             print(

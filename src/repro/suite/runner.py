@@ -206,8 +206,9 @@ def run_suite(
     :class:`~repro.engine.qcache.QueryCache`) short-circuits structurally
     repeated solver queries; with ``jobs > 1`` each worker gets its own
     cache instance over the same on-disk file, if any.  ``cache_shards``
-    splits that file into digest-routed shard files so each worker loads
-    and appends only its owned slice (see :mod:`repro.engine.qcache`).
+    splits that file into digest-routed shard files; every worker loads
+    all of them (see :mod:`repro.engine.qcache`).  The cache's pair tier
+    answers a repeated (src, tgt) pair before lint and verification.
     ``warm_pool`` (a started :class:`repro.engine.warmpool.WarmPool`)
     replaces the per-run process pool with persistent pre-forked workers
     whose interned term universe and in-memory cache tier stay warm
@@ -463,6 +464,7 @@ def _merge_worker_cache(outcome: SuiteOutcome) -> None:
         outcome.tally.qcache_load_entries += int(counters.get("load_entries", 0))
         outcome.tally.qcache_load_bytes += int(counters.get("load_bytes", 0))
         outcome.tally.qcache_evictions += int(counters.get("evictions", 0))
+        outcome.tally.qcache_pair_hits += int(counters.get("pair_hits", 0))
 
 
 def _merge_record(outcome: SuiteOutcome, record: TestRecord) -> None:

@@ -32,12 +32,15 @@ class Tally:
     skipped_unchanged: int = 0
     total_time_s: float = 0.0
     # Query-cache traffic (engine layer); hits skipped the solver entirely.
+    # Pair-tier lookups count here too; qcache_pair_hits counts the hits
+    # that replayed a whole (src, tgt) job (summed from worker counters).
     qcache_hits: int = 0
     qcache_misses: int = 0
+    qcache_pair_hits: int = 0
     # Cache-tier load cost (sharded two-tier cache): JSONL entries/bytes
-    # parsed by workers at cache open — what shard ownership shrinks —
-    # and in-memory LRU evictions under the bounds.  Deliberately not
-    # part of row(): load cost is an engine property, not a verdict.
+    # parsed by workers at cache open, and in-memory LRU evictions under
+    # the bounds.  Deliberately not part of row(): load cost is an engine
+    # property, not a verdict.
     qcache_load_entries: int = 0
     qcache_load_bytes: int = 0
     qcache_evictions: int = 0

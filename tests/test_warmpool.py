@@ -91,7 +91,7 @@ def test_query_cache_counters_expose_shard_tier():
         cache.store(key, "unsat")
     counters = cache.counters()
     assert counters["shards"] == 4
-    assert counters["owned_shards"] == 4
+    assert counters["pair_hits"] == 0
     assert counters["entries"] == len(d)
     assert counters["evictions"] == 0
     assert len(counters["per_shard"]) == 4
@@ -169,33 +169,30 @@ def test_crashed_migration_claim_file_is_finished(tmp_path):
     assert not os.path.exists(path + ".migrating")
 
 
-def test_shard_ownership_bounds_load_and_append(tmp_path):
+def test_every_instance_loads_and_appends_every_shard(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     keys = digests(40)
     full = QueryCache(path, shards=4)
     for key in keys:
         full.store(key, "unsat")
 
-    owner0 = QueryCache(path, shards=4, owned=(0,))
-    mine = [k for k in keys if shard_index(k, 4) == 0]
-    theirs = [k for k in keys if shard_index(k, 4) != 0]
-    counters = owner0.counters()
-    # Loads only its slice of the disk tier...
-    assert counters["load_entries"] == len(mine)
-    assert counters["owned_shards"] == 1
+    other = QueryCache(path, shards=4)
+    counters = other.counters()
+    # Loads the whole disk tier, every shard...
+    assert counters["load_entries"] == len(keys)
     total_bytes = sum(
         os.path.getsize(shard_path(path, k, 4)) for k in range(4)
     )
-    assert counters["load_bytes"] < total_bytes
-    assert all(owner0.lookup(k) is not None for k in mine)
-    # ...misses on unowned shards (their owner would have them)...
-    assert all(owner0.lookup(k) is None for k in theirs)
-    # ...and appends only to owned shard files.
-    unowned_file = shard_path(path, shard_index(theirs[0], 4), 4)
-    size_before = os.path.getsize(unowned_file)
-    owner0.store(theirs[0], "unsat")  # memory-tier only
-    assert os.path.getsize(unowned_file) == size_before
-    assert owner0.lookup(theirs[0]) is not None  # still a process-local hit
+    assert counters["load_bytes"] == total_bytes
+    assert {s["load_entries"] > 0 for s in counters["per_shard"]} == {True}
+    assert all(other.lookup(k) is not None for k in keys)
+    # ...and appends each store to the shard file its digest routes to.
+    new = hashlib.sha256(b"new").hexdigest()
+    routed = shard_path(path, shard_index(new, 4), 4)
+    size_before = os.path.getsize(routed)
+    other.store(new, "unsat")
+    assert os.path.getsize(routed) > size_before
+    assert QueryCache(path, shards=4).lookup(new) is not None
 
 
 def test_sharded_poisoning_and_certify_guards_unchanged(tmp_path):
@@ -363,7 +360,9 @@ def test_warm_pool_sharded_cache_reports_per_worker_counters(tmp_path):
     assert pool.worker_cache  # per-worker counters came back
     for counters in pool.worker_cache.values():
         assert counters["shards"] == 4
-        assert counters["owned_shards"] < 4  # each worker owns a slice
+        assert "owned_shards" not in counters
+    # Each worker replays the pairs it verified itself in the first run.
+    assert sum(c["pair_hits"] for c in pool.worker_cache.values()) > 0
     # Shard files exist on disk; no legacy single file was written.
     assert not os.path.exists(path)
     assert any(
@@ -391,7 +390,12 @@ def test_jobs_run_with_sharded_cache_matches_sequential(tmp_path):
         stable(r) for r in baseline.records
     ]
     assert outcome.worker_cache  # pool returned per-worker counters
-    # A second pooled run loads only owned shards per worker.
+    total_bytes = sum(
+        os.path.getsize(shard_path(path, k, 4))
+        for k in range(4)
+        if os.path.exists(shard_path(path, k, 4))
+    )
+    # A second pooled run loads every shard in every worker.
     again = run_suite(
         CORPUS,
         OPTS,
@@ -403,12 +407,7 @@ def test_jobs_run_with_sharded_cache_matches_sequential(tmp_path):
     assert [stable(r) for r in again.records] == [
         stable(r) for r in baseline.records
     ]
-    total_bytes = sum(
-        os.path.getsize(shard_path(path, k, 4))
-        for k in range(4)
-        if os.path.exists(shard_path(path, k, 4))
-    )
     assert again.tally.qcache_load_bytes > 0
     for counters in again.worker_cache.values():
-        if counters["owned_shards"] < counters["shards"]:
-            assert counters["load_bytes"] < total_bytes
+        assert counters["load_bytes"] >= total_bytes
+        assert "owned_shards" not in counters
