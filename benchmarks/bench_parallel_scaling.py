@@ -1,11 +1,11 @@
-"""E9 — engine: parallel scaling, task batching, and query-cache ablation.
+"""E9 — engine: parallel scaling, task batching, and result-cache ablation.
 
 The verification engine (``repro.engine``) attacks whole-corpus
 wall-clock from two sides: a process-pool scheduler fans *chunks* of
 per-test jobs across CPUs (many tests per worker task, amortizing
 dispatch — per-test dispatch used to make ``--jobs`` slower than
-sequential), and a canonical-hash query cache replays structurally
-repeated solver queries without invoking the solver.  This benchmark
+sequential), and a result cache replays repeated (src, tgt) pairs
+without verifying them.  This benchmark
 measures corpus wall-clock at ``jobs`` ∈ {1, 2, 4} across **two corpus
 sizes** (dispatch overhead only amortizes when there is enough work per
 chunk, so the scaling curve is a function of corpus size), plus the
@@ -95,7 +95,7 @@ def test_bench_parallel_scaling(benchmark, tmp_path):
                 "hit_rate": f"{t.qcache_hit_rate:.0%}",
             }
         )
-    print_table("E9: parallel scaling / task batching / query cache", rows)
+    print_table("E9: parallel scaling / task batching / result cache", rows)
 
     # Verdict parity within each corpus size, against its jobs=1 baseline.
     baselines = {
@@ -106,8 +106,8 @@ def test_bench_parallel_scaling(benchmark, tmp_path):
     cold = results["small jobs=1 cache=cold"][1]
     warm = results["small jobs=1 cache=warm"][1]
     assert warm.tally.qcache_hits > 0
-    # Residual warm misses are the queries that died with a deadline
-    # exception (never stored); everything storable replays.
+    # Residual warm misses are the pairs that ended without a storable
+    # verdict (never stored); everything storable replays.
     assert warm.tally.qcache_misses < cold.tally.qcache_misses
     assert warm.tally.qcache_hit_rate > cold.tally.qcache_hit_rate
     par_warm = results["small jobs=4 cache=warm"][1]

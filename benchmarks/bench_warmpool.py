@@ -1,7 +1,7 @@
 """E14 — warmpool: persistent workers + sharded cache vs cold spawn.
 
 A batch `--jobs N` run normally pays process-pool spawn, module import,
-term re-interning, and a full query-cache load on *every* invocation.
+term re-interning, and a full result-cache load on *every* invocation.
 The warm pool (`repro.engine.warmpool`) keeps the pre-forked workers of
 the serve supervisor alive between runs; every worker, warm or cold,
 loads every shard of the digest-routed cache (`repro.engine.qcache`).
@@ -9,7 +9,7 @@ This benchmark measures:
 
 * warm-pool repeat runs are strictly faster than cold-spawn repeats of
   the same corpus at the same job count;
-* verdicts are identical across cold/warm x sharded/legacy x
+* verdicts are identical across cold/warm x sharded/single-file x
   ``--certify``, and across concurrent serve clients.
 
 Per-worker cache-load bytes are no longer an axis: every worker loads
@@ -20,16 +20,15 @@ the whole disk tier (EXPERIMENTS.md E20).  Raw numbers land in
 import hashlib
 import json
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
 
 from conftest import print_table
 
-from repro.engine.qcache import QueryCache
+from repro.engine.qcache import QueryCache, shard_index, shard_path
 from repro.engine.warmpool import WarmPool
-from repro.refinement.check import VerifyOptions
+from repro.refinement.check import RefinementResult, Verdict, VerifyOptions
 from repro.serve import ServeConfig, protocol
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeServer
@@ -42,10 +41,27 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_warmpool.json"
 REPEATS = 3
 SHARDS = 8
 #: Synthetic entries padding both cache layouts to deployment scale (a
-#: long-lived cache holds every query the corpus history ever produced;
-#: the per-run reload of that file is the cost this PR exists to kill).
+#: long-lived cache holds every pair the corpus history ever verified;
+#: the per-run reload of that file is what the warm pool amortizes).
 #: Kept under the default LRU bound so padding never evicts real entries.
 PAD_ENTRIES = 50_000
+
+
+def _pad(path: str, shards: int) -> None:
+    """Append ``PAD_ENTRIES`` synthetic pair entries straight into the
+    files of the ``shards``-way layout at ``path``, each in the shard its
+    key routes to."""
+    probe = QueryCache()
+    probe.store_pair("0" * 64, RefinementResult(Verdict.CORRECT))
+    template = probe._shards[0].get("0" * 64)
+    lines = {}
+    for i in range(PAD_ENTRIES):
+        key = hashlib.sha256(f"pad-{i}".encode()).hexdigest()
+        entry = json.dumps(dict(template, key=key), sort_keys=True) + "\n"
+        lines.setdefault(shard_index(key, shards), []).append(entry)
+    for k, shard_lines in lines.items():
+        with open(shard_path(path, k, shards), "a", encoding="utf-8") as fh:
+            fh.writelines(shard_lines)
 
 
 def _stable(records):
@@ -62,40 +78,33 @@ def test_bench_warmpool(benchmark, tmp_path):
     # on small CI machines the workers time-slice, which still measures
     # (and if anything understates) the warm pool's advantage.
     jobs = 4
-    legacy_path = str(tmp_path / "legacy.jsonl")
+    single_path = str(tmp_path / "single.jsonl")
     sharded_path = str(tmp_path / "sharded.jsonl")
 
     def run():
         results = {"times": {}, "records": {}}
 
         # Seed both cache layouts with the same entry population: real
-        # entries from a cold run plus synthetic padding to deployment
-        # scale, then a byte-wise copy split into shards by the compat
-        # migrator (the same path a real upgrade takes).
-        out = run_suite(
-            corpus, OPTS, inject_bugs=True, jobs=jobs,
-            query_cache=legacy_path, cache_shards=1,
-        )
-        results["records"]["cold/legacy"] = out.records
-        pad = QueryCache(legacy_path)
-        for i in range(PAD_ENTRIES):
-            pad.store(
-                hashlib.sha256(f"pad-{i}".encode()).hexdigest(),
-                "unsat",
-                iterations=3,
+        # entries from a cold run each, plus the same synthetic padding
+        # to deployment scale written straight into their files.
+        for label, path, shards in (
+            ("cold/single-file", single_path, 1),
+            ("cold/sharded fill", sharded_path, SHARDS),
+        ):
+            out = run_suite(
+                corpus, OPTS, inject_bugs=True, jobs=jobs,
+                query_cache=path, cache_shards=shards,
             )
-        del pad
-        shutil.copy(legacy_path, sharded_path)
-        QueryCache(sharded_path, shards=SHARDS)  # migrate + shard split
-        results["cache_bytes"] = os.path.getsize(legacy_path)
+            results["records"][label] = out.records
+            _pad(path, shards)
+        results["cache_bytes"] = os.path.getsize(single_path)
 
         # -- axis 1: cold-spawn vs warm-pool wall clock -------------------
-        # Cold is the pre-upgrade configuration: a fresh process pool per
-        # run, every worker eagerly re-loading the full legacy cache file
-        # and re-interning terms from scratch.  Warm is one persistent
-        # sharded pool that pays fork + shard load once.  Repeats
-        # are interleaved cold/warm pairs so machine drift hits both
-        # configurations equally.
+        # Cold is a fresh process pool per run, every worker eagerly
+        # re-loading the whole single-file cache and re-interning terms
+        # from scratch.  Warm is one persistent sharded pool that pays
+        # fork + shard load once.  Repeats are interleaved cold/warm
+        # pairs so machine drift hits both configurations equally.
         cold_times = []
         warm_times = []
         with WarmPool(
@@ -110,7 +119,7 @@ def test_bench_warmpool(benchmark, tmp_path):
                 start = time.monotonic()
                 cold_out = run_suite(
                     corpus, OPTS, inject_bugs=True, jobs=jobs,
-                    query_cache=legacy_path, cache_shards=1,
+                    query_cache=single_path, cache_shards=1,
                 )
                 cold_times.append(time.monotonic() - start)
                 start = time.monotonic()
@@ -121,16 +130,16 @@ def test_bench_warmpool(benchmark, tmp_path):
             results["times"]["cold-spawn"] = cold_times
             results["times"]["warm-pool"] = warm_times
             results["records"]["warm/sharded"] = out.records
-        results["records"]["cold/legacy repeat"] = cold_out.records
+        results["records"]["cold/single-file repeat"] = cold_out.records
 
-        # -- axis 2: parity sweep (cold/sharded, warm/legacy, certify) ----
+        # -- axis 2: parity sweep (cold/sharded, warm/single-file, certify)
         results["records"]["cold/sharded"] = run_suite(
             corpus, OPTS, inject_bugs=True, jobs=jobs,
             query_cache=sharded_path, cache_shards=SHARDS,
         ).records
-        with WarmPool(jobs=jobs, cache_path=legacy_path) as pool:
+        with WarmPool(jobs=jobs, cache_path=single_path) as pool:
             out = run_suite(corpus, OPTS, inject_bugs=True, warm_pool=pool)
-            results["records"]["warm/legacy"] = out.records
+            results["records"]["warm/single-file"] = out.records
         results["records"]["cold/certify"] = run_suite(
             corpus, CERT_OPTS, inject_bugs=True, jobs=jobs,
             query_cache=sharded_path, cache_shards=SHARDS,
@@ -213,9 +222,10 @@ def test_bench_warmpool(benchmark, tmp_path):
     assert warm_mean < cold_mean, (warm_mean, cold_mean)
 
     # Acceptance 2: identical verdicts across every configuration.
-    baseline = _stable(results["records"]["cold/legacy"])
+    baseline = _stable(results["records"]["cold/single-file"])
     for label in (
-        "warm/sharded", "cold/legacy repeat", "cold/sharded", "warm/legacy"
+        "cold/sharded fill", "warm/sharded", "cold/single-file repeat",
+        "cold/sharded", "warm/single-file",
     ):
         assert _stable(results["records"][label]) == baseline, label
     cert_baseline = _stable(results["records"]["cold/certify"])

@@ -16,7 +16,7 @@ re-canonicalizing parent nodes until a fixpoint.
 Everything is deterministic: classes iterate in creation order and the
 extractor breaks ties on a stable node key, so two runs over the same
 term produce the same extraction — a requirement for reproducible
-verdicts and for the query cache keying on extracted terms.
+verdicts.
 """
 
 from __future__ import annotations

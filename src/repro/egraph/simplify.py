@@ -139,7 +139,7 @@ class EgraphSimplifier:
             STATS.budget_stops += 1
         # Extraction rebuilds through the smart constructors, so the
         # result is already canonical; only adopt it when it is not
-        # larger (ties keep the new canonical form for cache sharing).
+        # larger (ties keep the new canonical form).
         if extracted is not term and term_size(extracted) > input_size:
             extracted = term
         _SIMPLIFY_MEMO[key] = extracted

@@ -1,14 +1,11 @@
-"""Sharded two-tier solver query cache keyed by canonical content hashes.
+"""Sharded two-tier cache of whole verification jobs, keyed by content hashes.
 
-Two different unit tests frequently pose *structurally identical*
-refinement queries — the same pass applied to the same idiom produces
-the same (phi, psi) pair up to the fresh-name counter baked into
-variable names like ``tmp!42``.  This module hashes the assertion DAG
-after renaming variables by first occurrence in a deterministic
-traversal, so the digest is independent of object identities and of the
-global fresh-name counter.  A hit replays the recorded verdict (and
-counterexample model, translated back through the renaming) without
-touching the solver at all.
+A re-run of a test suite mostly re-verifies pairs it has already
+decided.  This cache holds the whole result of one verification job
+(one src/tgt pair), keyed by :func:`pair_fingerprint` over every input
+the job reads — the printed functions and modules, every option, the
+lint flag and a digest of this package's own source — so a repeated
+pair skips lint, unroll, encoding, the analyses and every solver query.
 
 The cache is **two-tier** and **sharded**:
 
@@ -24,45 +21,19 @@ The cache is **two-tier** and **sharded**:
   raising.  :meth:`QueryCache.heal` atomically rewrites each shard file
   with only its valid entries.
 
-Entries are routed to shards by a prefix of the canonical digest
+Entries are routed to shards by a prefix of the digest
 (:func:`shard_index`), which is deterministic across processes: the same
-query always lands in the same shard no matter which worker computed it.
+job always lands in the same shard no matter which worker computed it.
 Every worker loads every shard and appends each store to the shard its
-digest routes to, so an entry one worker computed answers every other
-worker's next run.
+digest routes to, and :meth:`QueryCache.refresh` reads what other
+processes appended since, so an entry one worker computed answers every
+other worker's next request.
 
-Legacy single-file caches (the pre-shard layout, where ``path`` itself
-is the JSONL file) are migrated by a compat loader on first sharded
-open: the file is atomically claimed by rename, its valid entries are
-re-appended into the per-shard files, and the original is kept as
-``<path>.migrated``.  ``shards=1`` keeps the legacy layout bit-for-bit
-(the single shard's file *is* ``path``).
-
-Soundness policy (unchanged from the unsharded cache):
-
-* definitive verdicts (``sat``/``unsat``) are sound under *any* resource
-  budget, so they are the only thing the cache stores and replays;
-* resource-exhaustion verdicts (``timeout``/``memout``) are **never
-  cached**.  Queries run under the *remaining* per-test deadline — a
-  shrinking budget — so a TIMEOUT observed with 0.2s left of a 30s
-  budget says nothing about the same query under a fresh budget.  This
-  is the poisoning guard: ``store`` silently drops them and loading
-  refuses crafted disk entries;
-* entries record whether their verdict carried a checker-accepted proof
-  certificate (``certified``); under ``--certify`` an *uncertified*
-  ``unsat`` entry is treated as a miss and re-solved, so a certified run
-  never replays an unchecked claim (CACHE_VERSION 3).
-
-The **pair tier** sits in front of all of that.  A pair entry holds the
-whole result of one verification job (one src/tgt pair), keyed by
-:func:`pair_fingerprint` over every input the job reads — the printed
-functions and modules, every option, the lint flag and a digest of this
-package's own source — so a repeated pair skips lint, unroll, encoding,
-the analyses and every query.  The same policy holds one level up: only
-definitive verdicts are stored (never TIMEOUT, OOM, CRASH or
-SOLVER_UNSOUND, never a degraded result or one with a rejected proof
-certificate), no timing is stored, and loading refuses a pair line whose
-verdict is not storable or whose payload is malformed.
+Soundness policy: only definitive verdicts are stored — never TIMEOUT,
+OOM, CRASH or SOLVER_UNSOUND (an exhaustion verdict reflects the job's
+budget, not the pair), never a degraded result or one with a rejected
+proof certificate — no timing is stored, and loading refuses any line
+that is not a well-formed entry with a storable verdict.
 """
 
 from __future__ import annotations
@@ -75,34 +46,20 @@ import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_function
-from repro.smt.terms import Term
 
 if TYPE_CHECKING:  # check.py imports this module
     from repro.refinement.check import RefinementResult, VerifyOptions
 
 logger = logging.getLogger("repro.engine.qcache")
 
-# Version 4: fingerprints are computed on post-extraction canonical terms
-# (the e-graph rung rewrites queries before hashing), so entries written
-# by earlier versions must not replay.  The sharded layout reuses the
-# same entry format — shard files and the legacy single file interchange
-# entry-for-entry, which is what makes the compat migration a pure move.
-# Version 5: the relational analysis contributes witness seeds and union
-# seeds that enter the query fingerprints (seeded instantiations are part
-# of the hashed assertion set, and union seeds change the e-graph's
-# canonical extraction), so v4 entries written without them must not
-# replay into runs that compute them — and vice versa.
+# Bumped whenever the entry format changes: a line written under another
+# version is quarantined, never replayed.
 CACHE_VERSION = 5
-
-#: The only verdicts the cache stores: sound to replay regardless of
-#: resource limits.  Exhaustion verdicts (timeout/memout) are never
-#: cached — see the module docstring.
-_DEFINITIVE = ("sat", "unsat")
 
 #: The verdicts a pair entry may hold: everything that is not resource
 #: exhaustion, a contained crash, or a solver caught lying.
@@ -144,8 +101,8 @@ def shard_index(digest: str, shards: int) -> int:
     """The shard a digest routes to: deterministic across processes.
 
     Uses the leading 32 bits of the (hex, uniformly distributed) sha256
-    digest, so the same canonical query lands in the same shard no
-    matter which worker — or which run — computed it.
+    digest, so the same job lands in the same shard no matter which
+    worker — or which run — computed it.
     """
     if shards <= 1:
         return 0
@@ -185,51 +142,6 @@ def _append_entry(path: str, entry: dict) -> None:
             os.close(fd)
     except OSError:
         pass
-
-
-def canonical_fingerprint(
-    items: Sequence[Tuple[str, Term]],
-) -> Tuple[str, Dict[str, str]]:
-    """Hash a sequence of tagged terms into a content digest.
-
-    Returns ``(digest, rename)`` where ``rename`` maps every variable
-    name occurring in the terms to its canonical name (``v0``, ``v1``,
-    ... in first-occurrence order of the traversal).  Structurally equal
-    term sequences produce equal digests and *positionally* equal
-    renamings even when the underlying variable names differ — the
-    property that makes cached counterexample models translatable.
-    """
-    rename: Dict[str, str] = {}
-    index: Dict[Term, int] = {}
-    lines: List[str] = []
-
-    def visit(root: Term) -> None:
-        stack: List[Tuple[Term, bool]] = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t in index:
-                continue
-            if not expanded:
-                stack.append((t, True))
-                stack.extend((a, False) for a in t.args)
-                continue
-            if t.op == "var":
-                payload = rename.setdefault(t.payload, f"v{len(rename)}")
-            else:
-                payload = str(t.payload)
-            # One JSON array per node: injective, so a payload containing
-            # a delimiter or newline cannot forge field/line boundaries
-            # and alias a structurally different term sequence.
-            lines.append(
-                json.dumps([t.op, t.width, payload, [index[a] for a in t.args]])
-            )
-            index[t] = len(index)
-
-    for tag, term in items:
-        visit(term)
-        lines.append(json.dumps(["@", tag, index[term]]))
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest, rename
 
 
 @lru_cache(maxsize=None)
@@ -346,9 +258,9 @@ def _pair_payload_ok(payload: object) -> bool:
 class CacheShard:
     """One shard: a bounded in-memory LRU over one append-only JSONL file.
 
-    A shard with a file loads it on construction and appends every
-    store; without one it is a pure memory tier.  Either way the LRU
-    bounds hold.
+    A shard with a file loads it on construction, appends every store,
+    and reads what other writers appended on :meth:`refresh`; without a
+    file it is a pure memory tier.  Either way the LRU bounds hold.
     """
 
     __slots__ = (
@@ -362,6 +274,8 @@ class CacheShard:
         "dropped_lines",
         "loaded_entries",
         "loaded_bytes",
+        "offset",
+        "file_id",
     )
 
     def __init__(
@@ -382,8 +296,12 @@ class CacheShard:
         self.dropped_lines = 0
         self.loaded_entries = 0
         self.loaded_bytes = 0
+        # Bytes of the file read so far (always a line boundary), and the
+        # (st_dev, st_ino) of the file they were read from.
+        self.offset = 0
+        self.file_id: Optional[Tuple[int, int]] = None
         if self.path is not None:
-            self._load()
+            self._read(tail=True)
 
     # -- persistence -------------------------------------------------------
     def _parse_entry(self, line: str) -> Optional[dict]:
@@ -396,11 +314,8 @@ class CacheShard:
             not isinstance(entry, dict)
             or entry.get("v") != CACHE_VERSION
             or not isinstance(entry.get("key"), str)
-            or not (
-                _pair_payload_ok(entry.get("pair"))
-                if entry.get("kind") == "pair"
-                else entry.get("result") in _DEFINITIVE
-            )
+            or entry.get("kind") != "pair"
+            or not _pair_payload_ok(entry.get("pair"))
         ):
             self.dropped_lines += 1
             logger.warning(
@@ -412,23 +327,48 @@ class CacheShard:
             return None
         return entry
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
+    def _read(self, tail: bool) -> int:
+        """Load the lines appended to this shard's file since the last read.
+
+        Only complete lines are consumed: an unterminated last line may
+        be an append still in flight, so the next read starts at it.  With
+        ``tail`` (the load at construction) it is parsed as well, so a
+        line a crashed writer tore is quarantined at open.  A file that
+        shrank or was replaced (``heal()``, in this process or another) is
+        read again from the start.  Returns the number of entries loaded;
+        an entry already in memory as it is (this shard's own stores) is
+        not loaded again.
+        """
         try:
             with open(self.path, "rb") as fh:
-                raw = fh.read().decode("utf-8", errors="replace")
+                st = os.fstat(fh.fileno())
+                if (st.st_dev, st.st_ino) != self.file_id or st.st_size < self.offset:
+                    self.file_id = (st.st_dev, st.st_ino)
+                    self.offset = 0
+                fh.seek(self.offset)
+                data = fh.read()
         except OSError:
-            return
-        self.loaded_bytes += len(raw)
-        for line in raw.splitlines():
+            return 0
+        end = data.rfind(b"\n") + 1
+        self.offset += end
+        if not tail:
+            data = data[:end]
+        self.loaded_bytes += len(data)
+        loaded = 0
+        for line in data.decode("utf-8", errors="replace").splitlines():
             line = line.strip()
             if not line:
                 continue
             entry = self._parse_entry(line)
-            if entry is not None:
+            if entry is not None and self.entries.get(entry["key"]) != entry:
                 self._put_mem(entry["key"], entry, len(line) + 1)
-                self.loaded_entries += 1
+                loaded += 1
+        self.loaded_entries += loaded
+        return loaded
+
+    def refresh(self) -> int:
+        """Load the entries other writers appended since the last read."""
+        return 0 if self.path is None else self._read(tail=False)
 
     def _append(self, entry: dict) -> None:
         _append_entry(self.path, entry)
@@ -458,8 +398,8 @@ class CacheShard:
             entry = self._parse_entry(line)
             if entry is not None:
                 # Last write wins, mirroring the load path; keying by
-                # digest also collapses duplicates a crashed migration
-                # may have double-appended.
+                # digest also collapses duplicates that racing workers
+                # appended.
                 kept[entry["key"]] = entry
                 if entry["key"] not in self.entries:
                     self._put_mem(entry["key"], entry, len(line) + 1)
@@ -475,12 +415,15 @@ class CacheShard:
                         fh.write(json.dumps(entry, sort_keys=True) + "\n")
                     fh.flush()
                     os.fsync(fh.fileno())
+                    st = os.fstat(fh.fileno())
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
                 raise
         except OSError:
             return 0
+        # The rewritten file holds nothing this shard has not read.
+        self.file_id, self.offset = (st.st_dev, st.st_ino), st.st_size
         if discarded:
             logger.warning(
                 "healed cache shard %s: discarded %d corrupt line(s), kept %d",
@@ -543,22 +486,16 @@ class CacheShard:
 
 
 class QueryCache:
-    """Sharded in-memory LRU + optional JSONL-on-disk query-result map.
+    """Sharded in-memory LRU + optional JSONL-on-disk map of job results.
 
     Thread-unsafe by design; each worker process owns its own instance.
     Concurrent *disk* writers are tolerated: every entry is one small
     appended line to a per-shard file, and loading drops anything
     unparseable.
 
-    ``shards=1`` (the default) is the legacy layout: one shard whose
-    file is ``path`` itself.  With ``shards=N`` entries are routed by
-    digest prefix to ``path.shard-KK-of-NN`` files; every instance loads
-    all of them.
-
-    Two kinds of entry share the shards: *query* entries (one solver
-    query's verdict, :meth:`lookup`/:meth:`store`) and *pair* entries
-    (one whole verification job's result, :meth:`lookup_pair`/
-    :meth:`store_pair`).  Neither ever answers a lookup of the other.
+    ``shards=1`` (the default) keeps one file, ``path`` itself.  With
+    ``shards=N`` entries are routed by digest prefix to
+    ``path.shard-KK-of-NN`` files; every instance loads all of them.
     """
 
     def __init__(
@@ -581,11 +518,8 @@ class QueryCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.pair_hits = 0
         if self.path is not None:
             self._warn_shard_mismatch()
-        if self.path is not None and self.shards > 1:
-            self._migrate_legacy()
         per_entries = max(1, self.max_entries // self.shards)
         per_bytes = max(1, self.max_bytes // self.shards)
         self._shards: List[CacheShard] = [
@@ -601,11 +535,12 @@ class QueryCache:
         ]
 
     def _warn_shard_mismatch(self) -> None:
-        """Flag shard files written under a different ``shards=N``.
+        """Flag cache files written under a different ``shards=N``.
 
         Mismatched files are never loaded (the count is baked into the
-        file name), which silently looks like an empty cache — so tell
-        the user what happened and how to get their entries back.
+        file name, and ``shards=1`` uses ``path`` itself), which silently
+        looks like an empty cache — so tell the user what happened and
+        how to get their entries back.
         """
         import glob as _glob
         import re as _re
@@ -616,74 +551,23 @@ class QueryCache:
             m = _re.search(r"\.shard-(\d+)-of-(\d+)$", candidate)
             if m is not None and int(m.group(2)) != self.shards:
                 found.add(int(m.group(2)))
+        if self.shards > 1 and os.path.exists(self.path):
+            found.add(1)
         for other in sorted(found):
+            files = "a single-file cache" if other == 1 else "shard files"
             logger.warning(
-                "query cache %s has shard files written with "
+                "query cache %s has %s written with "
                 "--cache-shards %d, but this run uses --cache-shards %d; "
                 "those entries will NOT be loaded (re-run with "
                 "--cache-shards %d to reuse them, or delete the stale "
-                "shard files to silence this warning)",
+                "file%s to silence this warning)",
                 self.path,
+                files,
                 other,
                 self.shards,
                 other,
+                "" if other == 1 else "s",
             )
-
-    # -- legacy migration --------------------------------------------------
-    def _migrate_legacy(self) -> None:
-        """Move a pre-shard single-file cache into the per-shard files.
-
-        The legacy file is claimed atomically by rename (losers of a
-        concurrent race see FileNotFoundError and skip), its valid
-        entries are re-appended into the shard files, and the claimed
-        file is kept as ``<path>.migrated``.  A claim file left behind
-        by a crashed migration is finished the same way — re-appending
-        an entry twice is harmless (same key, last write wins).
-        """
-        claim = self.path + ".migrating"
-        if os.path.exists(self.path):
-            try:
-                os.rename(self.path, claim)
-            except OSError:
-                pass  # concurrent migrator won the claim
-        if not os.path.exists(claim):
-            return
-        try:
-            with open(claim, "rb") as fh:
-                raw = fh.read().decode("utf-8", errors="replace")
-        except OSError:
-            return
-        scratch = CacheShard(0, None)
-        moved = 0
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            entry = scratch._parse_entry(line)
-            if entry is None:
-                continue
-            _append_entry(
-                shard_path(
-                    self.path,
-                    shard_index(entry["key"], self.shards),
-                    self.shards,
-                ),
-                entry,
-            )
-            moved += 1
-        try:
-            os.replace(claim, self.path + ".migrated")
-        except OSError:
-            pass
-        logger.info(
-            "migrated legacy cache %s: %d entr%s into %d shard file(s), "
-            "%d line(s) quarantined",
-            self.path,
-            moved,
-            "y" if moved == 1 else "ies",
-            self.shards,
-            scratch.dropped_lines,
-        )
 
     # -- routing -----------------------------------------------------------
     def _shard(self, digest: str) -> CacheShard:
@@ -694,75 +578,27 @@ class QueryCache:
         """Self-heal every shard file; returns lines discarded."""
         return sum(s.heal() for s in self._shards)
 
+    def refresh(self) -> int:
+        """Load what other processes appended to the shard files since
+        this instance last read them; returns the entries loaded.  A
+        long-lived worker calls it before each request."""
+        return sum(s.refresh() for s in self._shards)
+
     # -- lookup / store ----------------------------------------------------
-    def lookup(
-        self, digest: str, require_certified_unsat: bool = False
-    ) -> Optional[dict]:
-        """The cached entry for ``digest``, honoring the poisoning guard.
-
-        ``require_certified_unsat`` (certify mode) treats an ``unsat``
-        entry recorded without an accepted proof certificate as a miss:
-        replaying it would launder an unchecked claim into a certified
-        run.  ``sat`` entries replay freely — they are witnessed by a
-        model, not by a proof.
-        """
-        entry = self._shard(digest).get(digest)
-        if entry is not None and (
-            entry.get("kind") == "pair" or entry.get("result") not in _DEFINITIVE
-        ):
-            entry = None  # a pair entry, or one that is never stored
-        if (
-            entry is not None
-            and require_certified_unsat
-            and entry["result"] == "unsat"
-            and not entry.get("certified", False)
-        ):
-            entry = None
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def store(
-        self,
-        digest: str,
-        result: str,
-        model: Optional[Dict[str, object]] = None,
-        iterations: int = 0,
-        certified: bool = False,
-    ) -> None:
-        # Exhaustion verdicts are only meaningful for the (shrinking,
-        # per-test) deadline they ran under; caching one would replay
-        # spurious TIMEOUTs into runs with a full budget.  Drop them.
-        if result not in _DEFINITIVE:
-            return
-        entry = {
-            "v": CACHE_VERSION,
-            "key": digest,
-            "result": result,
-            "model": dict(model or {}),
-            "iterations": iterations,
-            "certified": bool(certified),
-        }
-        self._shard(digest).put(digest, entry)
-        self.stores += 1
-
     def lookup_pair(self, digest: str) -> Optional["RefinementResult"]:
         """The stored result of the job keyed ``digest``, or None.
 
-        Counts in :attr:`hits`/:attr:`misses` like a query lookup.  Every
-        hit is a fresh :class:`~repro.refinement.check.RefinementResult`
-        with no timing and :data:`PAIR_NOTE` appended to its notes.
+        Counts in :attr:`hits`/:attr:`misses`.  Every hit is a fresh
+        :class:`~repro.refinement.check.RefinementResult` with no timing
+        and :data:`PAIR_NOTE` appended to its notes.
         """
         from repro.refinement.check import RefinementResult
 
         entry = self._shard(digest).get(digest)
-        if entry is None or entry.get("kind") != "pair":
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        self.pair_hits += 1
         result = RefinementResult.from_json(entry["pair"])
         result.notes.append(PAIR_NOTE)
         return result
@@ -830,7 +666,6 @@ class QueryCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "pair_hits": self.pair_hits,
             "stores": self.stores,
             "entries": len(self),
             "quarantined": self.dropped_lines,
@@ -854,7 +689,7 @@ _active_cache: Optional[QueryCache] = None
 
 @contextmanager
 def activate(cache: Optional[QueryCache]) -> Iterator[Optional[QueryCache]]:
-    """Install ``cache`` as the process-wide query cache (None = disabled)."""
+    """Install ``cache`` as the process-wide cache (None = disabled)."""
     global _active_cache
     previous = _active_cache
     _active_cache = cache

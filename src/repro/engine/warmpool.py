@@ -3,7 +3,7 @@
 :mod:`repro.engine.pool` pays two constant costs on every ``--jobs``
 run: it forks a fresh ``ProcessPoolExecutor`` (workers re-import and
 re-warm the whole parse/encode/solve stack), and each worker loads the
-entire on-disk query cache before running a single test.  The serve
+entire on-disk result cache before running a single test.  The serve
 daemon already solved both — its :class:`~repro.serve.supervisor
 .Supervisor` keeps pre-warmed workers alive across requests with
 heartbeats, hang SIGKILL, restart backoff and a circuit breaker — so
@@ -27,17 +27,18 @@ heartbeats, hang SIGKILL, restart backoff and a circuit breaker — so
   attributable to one test (mirroring the cold pool's
   collapse-then-isolate ladder);
 * **shared cache tier**: every worker loads every shard file of the
-  query cache once, at start, and appends each entry to the shard its
-  digest routes to (see :mod:`repro.engine.qcache`), so a pair or query
-  any worker stored answers every worker's next run;
-* **measurable wins**: every chunk reply carries the worker's cache
-  counters; :attr:`WarmPool.worker_cache` maps worker pid to its latest
-  counters (hits, misses, per-shard load bytes/entries, evictions) for
-  the suite summary and ``BENCH_warmpool.json``.
+  result cache at start, appends each entry to the shard its digest
+  routes to, and reads what its siblings appended before each request
+  (see :mod:`repro.engine.qcache`), so a pair any worker stored answers
+  every worker's next request;
+* **measurable wins**: every chunk and test reply carries the worker's
+  cache counters; :attr:`WarmPool.worker_cache` maps worker pid to its
+  latest counters (hits, misses, per-shard load bytes/entries,
+  evictions) for the suite summary and ``BENCH_warmpool.json``.
 
 Verdict parity: records are produced by the same
 :func:`repro.suite.runner._run_one_test` the sequential and cold-pool
-paths call, canonical cache fingerprints are name-independent, and the
+paths call, cache keys cover every input of a job, and the
 serve CI jobs already assert byte-identical verdicts for warm workers —
 a warm pool differs from a cold one only in *when* memory is reset,
 never in what a test computes.
@@ -96,7 +97,8 @@ class WarmPool:
         self.config = config
         self._sup: Optional[Supervisor] = None
         #: worker pid -> that worker's latest cache counters (cumulative
-        #: over the worker's lifetime; last report wins).
+        #: over the worker's lifetime, so the snapshot with the most
+        #: lookups is the latest, whatever order replies are processed in).
         self.worker_cache: Dict[int, dict] = {}
         self.runs = 0  # completed run() calls (bench: run 0 is cold-ish)
 
@@ -200,12 +202,10 @@ class WarmPool:
             )
             for future in done:
                 payload = future.result() or {}
+                self._note_cache(payload)
                 if future in chunk_futures:
                     chunk = chunk_futures.pop(future)
                     if payload.get("kind") == "chunk":
-                        pid = payload.get("pid")
-                        if pid is not None and payload.get("cache"):
-                            self.worker_cache[pid] = payload["cache"]
                         for idx, rec in zip(chunk, payload.get("records", [])):
                             self._finish(
                                 records, idx, TestRecord.from_json(rec), journal
@@ -236,6 +236,14 @@ class WarmPool:
         return [records[i] for i in range(n)]
 
     # -- plumbing ----------------------------------------------------------
+    def _note_cache(self, payload: dict) -> None:
+        pid, counters = payload.get("pid"), payload.get("cache")
+        if pid is None or not counters:
+            return
+        old = self.worker_cache.get(pid)
+        if old is None or _lookups(counters) >= _lookups(old):
+            self.worker_cache[pid] = counters
+
     def _submit(self, request: dict) -> Future:
         """Submit with backoff: a briefly-open circuit breaker (worker
         deaths mid-corpus) sheds, and the batch engine's answer to
@@ -275,3 +283,7 @@ class WarmPool:
                 },
             }
         return TestRecord.from_json(data)
+
+
+def _lookups(counters: dict) -> int:
+    return int(counters.get("hits", 0)) + int(counters.get("misses", 0))

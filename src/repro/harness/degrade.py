@@ -48,7 +48,7 @@ class DegradationLadder:
     ) -> Optional[Tuple[List[str], VerifyOptions]]:
         """The next cheaper configuration, or None when fully degraded.
 
-        With ``memout`` the rung also halves the active query cache's
+        With ``memout`` the rung also halves the active result cache's
         in-memory LRU bounds (``lru-shrink``): under memory pressure the
         warm cache tier is ballast, and shrinking it is a step the
         options alone cannot express (it acts on process state, so it

@@ -127,11 +127,11 @@ def run_verification_job(
     suite runner and the serve workers call; ``verify_refinement`` itself
     stays a pure library function.
 
-    With a query cache active, the whole job is first looked up in its
-    pair tier (:func:`repro.engine.qcache.pair_fingerprint`): a hit
+    With a result cache active, the whole job is first looked up in it
+    (keyed by :func:`repro.engine.qcache.pair_fingerprint`): a hit
     returns the stored result before lint, and a miss runs the job and
-    stores a storable result.  A test with an armed fault skips the tier,
-    since the fault plan is an input the key does not cover.
+    stores a storable result.  A test with an armed fault skips the
+    cache, since the fault plan is an input the key does not cover.
     """
     options = options or VerifyOptions()
     cache = qcache.active()

@@ -30,7 +30,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.analysis.memdf import STATS as MEMDF_STATS, analyze_memdf
 from repro.analysis.relational import STATS as REL_STATS, analyze_relational
 from repro.analysis.prescreen import Prescreener
-from repro.engine import qcache
 from repro.harness.deadline import Deadline, DeadlineExceeded
 from repro.harness.faults import maybe_fault
 from repro.ir.function import Function
@@ -111,14 +110,6 @@ class VerifyOptions:
     egraph: bool = True
     egraph_max_nodes: int = 512
     egraph_max_iterations: int = 8
-    # Witness pairing: when exactly one forall-variable is live in psi,
-    # try mapping it onto each same-width free variable as a symbolic
-    # witness candidate (both for the e-graph's seeded instantiations
-    # and the CEGAR solver's seeds).  Sound — any total substitution is
-    # a legitimate candidate, and failed candidates just fall through to
-    # CEGAR.  Off reproduces the pre-egraph prescreen-only pipeline,
-    # which is the baseline BENCH_egraph measures against.
-    witness_pairing: bool = True
     # Memory-aware static analysis (repro.analysis.pointsto/memdf):
     # points-to provenance + store/load dataflow facts feeding the
     # R-alias-disjoint / R-load-forward / R-oob-ub prescreen rules, the
@@ -139,8 +130,8 @@ class VerifyOptions:
     # Self-certifying mode (--certify): every UNSAT the solver stack
     # claims must carry a proof the independent RUP checker accepts; a
     # rejected proof downgrades the verdict to SOLVER_UNSOUND instead of
-    # VERIFIED, and only certified UNSAT entries replay from the query
-    # cache.
+    # VERIFIED.  The flag is part of every cache key, so a certified run
+    # never replays a result verified without proofs.
     certify: bool = False
 
     def limits(self) -> ResourceLimits:
@@ -170,7 +161,6 @@ class VerifyOptions:
             "egraph": self.egraph,
             "egraph_max_nodes": self.egraph_max_nodes,
             "egraph_max_iterations": self.egraph_max_iterations,
-            "witness_pairing": self.witness_pairing,
             "memdf": self.memdf,
             "relational": self.relational,
             "certify": self.certify,
@@ -209,9 +199,6 @@ class VerifyOptions:
             ),
             egraph_max_iterations=int(
                 data.get("egraph_max_iterations", defaults.egraph_max_iterations)
-            ),
-            witness_pairing=bool(
-                data.get("witness_pairing", defaults.witness_pairing)
             ),
             memdf=bool(data.get("memdf", defaults.memdf)),
             relational=bool(data.get("relational", defaults.relational)),
@@ -1060,8 +1047,6 @@ class _RefinementChecker:
         with the src reading's site comes first.  Every candidate is a
         total substitution of universals, hence sound.
         """
-        if not self.options.witness_pairing:
-            return []
         names = term_vars(psi)
         relevant = [qv for qv in self.forall_vars if qv.name in names]
         if not relevant or len(relevant) > 4:
@@ -1104,8 +1089,6 @@ class _RefinementChecker:
         both sides the same interned term.  Shared by the e-graph rung
         and the ∃∀ solver so both discharge the same queries.
         """
-        if not self.options.witness_pairing:
-            return []
         names = term_vars(psi)
         relevant = [qv for qv in self.forall_vars if qv.name in names]
         if len(relevant) != 1:
@@ -1119,34 +1102,9 @@ class _RefinementChecker:
         ]
         return [{qv.name: free} for free in candidates[:8]]
 
-    def _cache_items(self, phi: BoolTerm, psi: BoolTerm) -> list:
-        """The tagged term sequence whose canonical hash keys this query.
-
-        Besides (phi, psi) it must pin down which variables are universal
-        and what the symbolic seeds are: two structurally equal formula
-        pairs with a different quantifier split are different queries.
-        """
-        items = [("phi", phi), ("psi", psi)]
-        widths = {qv.name: qv.width for qv in self.forall_vars}
-        psi_names = term_vars(psi)
-        for i, qv in enumerate(self.forall_vars):
-            if qv.name not in psi_names:
-                continue  # solve_exists_forall ignores it too
-            var = bool_var(qv.name) if qv.width == 0 else bv_var(qv.name, qv.width)
-            items.append((f"A{i}", var))
-        for i, seed in enumerate(self.seeds):
-            for j, name in enumerate(sorted(seed)):
-                width = widths.get(name)
-                if width is None:
-                    continue
-                var = bool_var(name) if width == 0 else bv_var(name, width)
-                items.append((f"s{i}.{j}k", var))
-                items.append((f"s{i}.{j}v", seed[name]))
-        return items
-
     def _is_satisfiable(self, formula: BoolTerm) -> Optional[RefinementResult]:
         # A concrete satisfying witness settles this plain SAT probe
-        # without a solver (and without touching the query cache).
+        # without a solver.
         if self.prescreener is not None:
             t0 = time.monotonic()
             hit = self.prescreener.screen_sat(formula)
@@ -1164,32 +1122,13 @@ class _RefinementChecker:
                 return None
         solve_start = time.monotonic()
         try:
-            cache = qcache.active()
-            certify = self.options.certify
-            digest = None
-            res = None
-            if cache is not None:
-                digest, _ = qcache.canonical_fingerprint([("satcheck", formula)])
-                hit = cache.lookup(digest, require_certified_unsat=certify)
-                if hit is not None:
-                    res = CheckResult(hit["result"])
-            if res is None:
-                solver = SmtSolver(certify=certify)
-                solver.assert_term(formula)
-                res = solver.check(self._limits())
-                self._certs.extend(solver.certificates)
-                bad = [c for c in solver.certificates if not c.valid]
-                if bad:
-                    return self._reject_unsound("precondition", bad)
-                if cache is not None:
-                    # Exhaustion verdicts are dropped by the cache itself:
-                    # they reflect this test's remaining deadline, not the query.
-                    cache.store(
-                        digest,
-                        res.value,
-                        certified=bool(solver.certificates)
-                        and all(c.valid for c in solver.certificates),
-                    )
+            solver = SmtSolver(certify=self.options.certify)
+            solver.assert_term(formula)
+            res = solver.check(self._limits())
+            self._certs.extend(solver.certificates)
+            bad = [c for c in solver.certificates if not c.valid]
+            if bad:
+                return self._reject_unsound("precondition", bad)
             if res is CheckResult.UNSAT:
                 return self._attach(
                     RefinementResult(Verdict.EMPTY_PRE, failed_check="precondition")
@@ -1219,9 +1158,7 @@ class _RefinementChecker:
             # E-graph rung: saturating the certified rules either proves
             # the query outright (psi is a tautology / phi is vacuous —
             # the forall obligation holds with no SAT call) or yields
-            # equivalent, usually smaller terms for the bit-blaster.  The
-            # query-cache fingerprint below hashes these post-extraction
-            # canonical terms, so semantically equal queries share entries.
+            # equivalent, usually smaller terms for the bit-blaster.
             t0 = time.monotonic()
             proved, phi, psi = self.simplifier.screen_query(
                 phi,
@@ -1233,7 +1170,7 @@ class _RefinementChecker:
             if proved:
                 return None
         solve_start = time.monotonic()
-        outcome = self._solve_cached(phi, psi)
+        outcome = self._solve(phi, psi)
         self.phase_times["solve"] += time.monotonic() - solve_start
         self._certs.extend(outcome.certificates)
         bad = [c for c in outcome.certificates if not getattr(c, "valid", True)]
@@ -1275,76 +1212,20 @@ class _RefinementChecker:
             )
         )
 
-    def _solve_cached(self, phi: BoolTerm, psi: BoolTerm) -> EFOutcome:
-        """The exists-forall solve, short-circuited by the query cache.
-
-        A hit replays the recorded verdict without constructing a solver;
-        the stored model is keyed by canonical variable names and gets
-        translated back through this query's renaming.
-        """
-        cache = qcache.active()
-        certify = self.options.certify
-        # phi/psi are already post-extraction canonical forms (the e-graph
-        # rung ran before this); re-saturating every CEGAR instantiation
-        # costs far more than the CNF it would save, so the per-clause
-        # simplify hook stays off.
-        simplify = None
+    def _solve(self, phi: BoolTerm, psi: BoolTerm) -> EFOutcome:
+        """The exists-forall solve, seeded with this pair's witnesses."""
         query_seeds = self._query_seeds(psi)
         if self.relational is not None and (self._rel_seed_pairs or query_seeds):
             REL_STATS.seeded_queries += 1
-        seeds = list(self.seeds) + query_seeds
-        if cache is None:
-            return solve_exists_forall(
-                phi,
-                psi,
-                self.forall_vars,
-                limits=self._limits(),
-                max_iterations=self.options.max_ef_iterations,
-                symbolic_seeds=seeds,
-                certify=certify,
-                simplify=simplify,
-            )
-        digest, rename = qcache.canonical_fingerprint(self._cache_items(phi, psi))
-        hit = cache.lookup(digest, require_certified_unsat=certify)
-        if hit is not None:
-            unrename = {canon: real for real, canon in rename.items()}
-            model = {
-                unrename[canon]: value
-                for canon, value in hit.get("model", {}).items()
-                if canon in unrename
-            }
-            return EFOutcome(
-                EFResult(hit["result"]),
-                model=model,
-                iterations=int(hit.get("iterations", 0)),
-            )
-        outcome = solve_exists_forall(
+        return solve_exists_forall(
             phi,
             psi,
             self.forall_vars,
             limits=self._limits(),
             max_iterations=self.options.max_ef_iterations,
-            symbolic_seeds=seeds,
-            certify=certify,
-            simplify=simplify,
+            symbolic_seeds=list(self.seeds) + query_seeds,
+            certify=self.options.certify,
         )
-        canon_model = {
-            rename[name]: value
-            for name, value in outcome.model.items()
-            if name in rename
-        }
-        if all(getattr(c, "valid", True) for c in outcome.certificates):
-            # A verdict whose proof the checker rejected is suspect; never
-            # let it replay into later tests or non-certify runs.
-            cache.store(
-                digest,
-                outcome.result.value,
-                model=canon_model,
-                iterations=outcome.iterations,
-                certified=bool(outcome.certificates)
-                and all(c.valid for c in outcome.certificates),
-            )
-        return outcome
 
     def _prime_refines_value(self, src_value, tgt_value) -> BoolTerm:
         """src' ⊒ tgt for return values (Figure 4 rules, element-wise)."""

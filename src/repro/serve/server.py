@@ -453,17 +453,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--query-cache",
         metavar="PATH",
         default=None,
-        help="shared persistent solver-query cache (JSONL)",
+        help="shared persistent cache of whole-job results (JSONL)",
     )
     parser.add_argument(
         "--cache-shards",
         type=int,
-        default=8,
+        default=1,
         metavar="N",
-        help="split the query cache into N digest-routed shard files; "
+        help="split the result cache into N digest-routed shard files; "
         "every worker loads all of them and appends each entry to the "
-        "shard it routes to (1 = legacy single-file layout; existing "
-        "files migrate automatically)",
+        "shard it routes to (default 1: one file, PATH itself)",
     )
     parser.add_argument(
         "--conn-threads",

@@ -94,9 +94,10 @@ class ServeConfig:
     drain_timeout_s: float = 10.0
     cache_enabled: bool = False
     cache_path: Optional[str] = None
-    #: Shard count for the two-tier query cache.  Every worker loads
-    #: every shard and appends each store to the shard its digest routes
-    #: to (see :mod:`repro.engine.qcache`).
+    #: Shard count for the two-tier result cache.  Every worker loads
+    #: every shard, appends each store to the shard its digest routes
+    #: to, and reads what its siblings appended before each request (see
+    #: :mod:`repro.engine.qcache`).
     cache_shards: int = 1
     #: Interned-term high-water mark: a worker whose intern table grows
     #: past this resets it between tasks (warm-universe hygiene — the
@@ -173,6 +174,8 @@ def _execute_task(msg: dict, cfg: _WorkerConfig, cache) -> dict:
     )
     retries = int(request.get("retries", 0) or 0)
     ladder = DegradationLadder(max_retries=retries) if retries > 0 else None
+    if cache is not None:
+        cache.refresh()  # what sibling workers stored since the last request
 
     with faults.activate(plan), qcache.activate(cache):
         with faults.current_test(name):
@@ -211,7 +214,12 @@ def _execute_task(msg: dict, cfg: _WorkerConfig, cache) -> dict:
                 ladder,
             )
             record.worker = os.getpid()
-            payload = {"kind": "test", "record": record.to_json()}
+            payload = {
+                "kind": "test",
+                "record": record.to_json(),
+                "pid": os.getpid(),
+                "cache": cache.counters() if cache is not None else None,
+            }
         else:
 
             def job():

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness.faults import maybe_fault
 from repro.sat.proof import Certificate
@@ -94,7 +94,6 @@ def solve_exists_forall(
     max_iterations: int = 64,
     symbolic_seeds: Sequence[Dict[str, Term]] = (),
     certify: bool = False,
-    simplify: Optional[Callable[[Term], Term]] = None,
 ) -> EFOutcome:
     """Solve ``exists O. phi(O) and forall N. not psi(O, N)``.
 
@@ -108,18 +107,11 @@ def solve_exists_forall(
     must track a target expression converge in one round instead of
     enumerating the value space (cf. the instantiation heuristics of
     §3.3/§3.7 of the Alive2 paper).
-
-    ``simplify``, when given, must map a formula to an *equivalent* one
-    (the e-graph rung passes its certified-rule extraction); it is
-    applied to every instantiated ``not psi`` assertion so the outer
-    solver bit-blasts the minimized form.
     """
 
     def _assert_not_psi(solver: SmtSolver, mapping: Dict[str, Term]) -> None:
-        clause = bool_not(substitute(psi, mapping))
-        if simplify is not None:
-            clause = simplify(clause)
-        solver.assert_term(clause)
+        solver.assert_term(bool_not(substitute(psi, mapping)))
+
     # Fault-injection site for solver-level faults (kind="unsound" arms
     # the learned-clause corruption in repro.sat.solver from here, so the
     # plain SAT probes of the refinement sequence are unaffected).

@@ -29,7 +29,7 @@ class CheckResult(Enum):
 class SolverTelemetry:
     """Process-wide counters over every :meth:`SmtSolver.check` call.
 
-    The query cache's contract is that a hit skips the solver *entirely*;
+    The result cache's contract is that a hit skips the solver *entirely*;
     these counters are how tests and benchmarks observe that, and how the
     engine reports per-worker solver load.
     """

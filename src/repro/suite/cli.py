@@ -49,21 +49,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--query-cache", nargs="?", const="", default=None, metavar="PATH",
-        help="enable the solver query-result cache (off by default); "
-             "with PATH, persist it to a JSONL file shared across runs "
-             "and workers, otherwise keep it in memory for this run",
+        help="enable the cache of whole-job results, which replays a "
+             "repeated (src, tgt) pair without verifying it (off by "
+             "default); with PATH, persist it to a JSONL file shared "
+             "across runs and workers, otherwise keep it in memory for "
+             "this run",
     )
     parser.add_argument(
         "--no-query-cache", action="store_true",
-        help="force the query-result cache off (overrides --query-cache)",
+        help="force the result cache off (overrides --query-cache)",
     )
     parser.add_argument(
-        "--cache-shards", type=int, default=8, metavar="N",
-        help="split the persistent query cache into N digest-routed shard "
-             "files; every worker loads all of them and appends each entry "
-             "to the shard it routes to; 1 keeps the legacy single-file "
-             "layout (existing files are migrated automatically on first "
-             "sharded open)",
+        "--cache-shards", type=int, default=1, metavar="N",
+        help="split the persistent result cache into N digest-routed "
+             "shard files; every worker loads all of them and appends "
+             "each entry to the shard it routes to (default 1: one file, "
+             "PATH itself)",
     )
     parser.add_argument(
         "--warm-pool", action="store_true",
@@ -244,13 +245,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         t = outcome.tally
         if t.qcache_hits or t.qcache_misses:
             print(
-                f"query cache: {t.qcache_hits} hits / {t.qcache_misses} misses "
-                f"({t.qcache_hit_rate:.0%} hit rate)"
-            )
-        if t.qcache_pair_hits:
-            print(
-                f"pair cache: {t.qcache_pair_hits} pairs replayed "
-                f"without verification"
+                f"pair cache: {t.qcache_hits} pairs replayed / "
+                f"{t.qcache_misses} verified ({t.qcache_hit_rate:.0%} hit rate)"
             )
         if t.qcache_load_entries or t.qcache_load_bytes or t.qcache_evictions:
             print(
@@ -265,8 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"  pid {pid}: {c.get('shards')} shards, loaded "
                     f"{c.get('load_entries', 0)} entries / "
                     f"{c.get('load_bytes', 0)} bytes, "
-                    f"{c.get('hits', 0)} hits / {c.get('misses', 0)} misses, "
-                    f"{c.get('pair_hits', 0)} pair hits"
+                    f"{c.get('hits', 0)} hits / {c.get('misses', 0)} misses"
                 )
         if t.prescreen_hits or t.prescreen_misses:
             print(

@@ -57,7 +57,7 @@ class TestRecord:
     clean_failure: bool = False
     degradations: List[str] = field(default_factory=list)
     diagnostic: Optional[Dict[str, object]] = None
-    # Engine statistics: query-cache hits/misses and solver checks spent
+    # Engine statistics: pair-cache hits/misses and solver checks spent
     # on this test, plus the worker pid for parallel runs (None = in-process).
     qcache_hits: int = 0
     qcache_misses: int = 0
@@ -160,7 +160,7 @@ class SuiteOutcome:
     solver_unsound: List[str] = field(default_factory=list)  # rejected certificates
     records: List[TestRecord] = field(default_factory=list)
     resumed: int = 0  # tests replayed from the journal instead of re-run
-    # Parallel runs: worker pid -> that worker's final query-cache
+    # Parallel runs: worker pid -> that worker's final cache
     # counters (per-shard load bytes/entries, LRU evictions, hit rate),
     # so cache-tier wins are measurable per worker, not inferred.
     worker_cache: Dict[int, dict] = field(default_factory=dict)
@@ -203,12 +203,12 @@ def run_suite(
     are identical to a sequential run.  ``task_batch`` overrides how many
     tests are shipped per worker task (default: pool-chosen, ~4 tasks per
     worker).  ``query_cache`` (a path or a
-    :class:`~repro.engine.qcache.QueryCache`) short-circuits structurally
-    repeated solver queries; with ``jobs > 1`` each worker gets its own
-    cache instance over the same on-disk file, if any.  ``cache_shards``
-    splits that file into digest-routed shard files; every worker loads
-    all of them (see :mod:`repro.engine.qcache`).  The cache's pair tier
-    answers a repeated (src, tgt) pair before lint and verification.
+    :class:`~repro.engine.qcache.QueryCache`) holds whole-job results: a
+    repeated (src, tgt) pair is answered before lint and verification;
+    with ``jobs > 1`` each worker gets its own cache instance over the
+    same on-disk file, if any.  ``cache_shards`` splits that file into
+    digest-routed shard files; every worker loads all of them (see
+    :mod:`repro.engine.qcache`).
     ``warm_pool`` (a started :class:`repro.engine.warmpool.WarmPool`)
     replaces the per-run process pool with persistent pre-forked workers
     whose interned term universe and in-memory cache tier stay warm
@@ -464,7 +464,6 @@ def _merge_worker_cache(outcome: SuiteOutcome) -> None:
         outcome.tally.qcache_load_entries += int(counters.get("load_entries", 0))
         outcome.tally.qcache_load_bytes += int(counters.get("load_bytes", 0))
         outcome.tally.qcache_evictions += int(counters.get("evictions", 0))
-        outcome.tally.qcache_pair_hits += int(counters.get("pair_hits", 0))
 
 
 def _merge_record(outcome: SuiteOutcome, record: TestRecord) -> None:

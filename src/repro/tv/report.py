@@ -31,12 +31,10 @@ class Tally:
     solver_unsound: int = 0  # UNSAT claims the proof checker rejected
     skipped_unchanged: int = 0
     total_time_s: float = 0.0
-    # Query-cache traffic (engine layer); hits skipped the solver entirely.
-    # Pair-tier lookups count here too; qcache_pair_hits counts the hits
-    # that replayed a whole (src, tgt) job (summed from worker counters).
+    # Pair-cache traffic (engine layer): a hit replayed a whole (src, tgt)
+    # job without verifying it, a miss verified it.
     qcache_hits: int = 0
     qcache_misses: int = 0
-    qcache_pair_hits: int = 0
     # Cache-tier load cost (sharded two-tier cache): JSONL entries/bytes
     # parsed by workers at cache open, and in-memory LRU evictions under
     # the bounds.  Deliberately not part of row(): load cost is an engine
@@ -178,8 +176,8 @@ class ValidationReport:
             )
         if t.qcache_hits or t.qcache_misses:
             text += (
-                f" [query cache: {t.qcache_hits} hits / "
-                f"{t.qcache_misses} misses, {t.qcache_hit_rate:.0%}]"
+                f" [pair cache: {t.qcache_hits} replayed / "
+                f"{t.qcache_misses} verified, {t.qcache_hit_rate:.0%}]"
             )
         if t.qcache_load_entries or t.qcache_load_bytes or t.qcache_evictions:
             text += (

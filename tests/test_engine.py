@@ -1,14 +1,11 @@
-"""Tests for the verification engine: query cache, process pool, CEGAR.
+"""Tests for the verification engine: result cache, process pool, CEGAR.
 
 Covers the engine-layer guarantees:
 
-* canonical query hashing is independent of fresh-name counters;
 * cache on/off produces identical verdicts, and warm hits skip the
   solver entirely (observed through the solver telemetry);
-* the poisoning guard: resource-exhaustion verdicts are never cached at
-  all (queries run under a shrinking per-test deadline, so a TIMEOUT is
-  meaningless for any other budget) and crafted disk entries are dropped;
-* a corrupted on-disk cache is dropped, never fatal;
+* a corrupted on-disk cache is dropped, never fatal, and ``heal()``
+  rewrites it without the bad lines;
 * ``jobs=4`` produces the same tallies, record order and journal
   contents as ``jobs=1`` — including under injected faults — and a
   journal written by a parallel run resumes correctly;
@@ -21,15 +18,13 @@ Covers the engine-layer guarantees:
 
 import json
 
-from repro.engine.qcache import QueryCache, canonical_fingerprint
+from repro.engine.qcache import QueryCache
 from repro.harness import FaultPlan, FaultSpec, RunJournal
-from repro.refinement.check import VerifyOptions
+from repro.refinement.check import RefinementResult, Verdict, VerifyOptions
 from repro.smt import exists_forall as ef
 from repro.smt import solver as smt_solver
 from repro.smt.terms import (
-    Term,
     bool_and,
-    bv_add,
     bv_const,
     bv_eq,
     bv_var,
@@ -51,63 +46,15 @@ def _verdict_rows(outcome):
     return row
 
 
-# ---------------------------------------------------------------------------
-# Canonical fingerprinting
-# ---------------------------------------------------------------------------
-
-
-def test_fingerprint_independent_of_variable_names():
-    a = bv_eq(bv_add(bv_var("tmp!5", 8), bv_const(1, 8)), bv_var("tmp!6", 8))
-    b = bv_eq(bv_add(bv_var("tmp!91", 8), bv_const(1, 8)), bv_var("x", 8))
-    da, ra = canonical_fingerprint([("q", a)])
-    db, rb = canonical_fingerprint([("q", b)])
-    assert da == db
-    # Positionally equal renamings: the first-occurring variable maps to
-    # v0 in both, so cached models translate across the two queries.
-    assert ra["tmp!5"] == rb["tmp!91"]
-    assert ra["tmp!6"] == rb["x"]
-
-
-def test_fingerprint_distinguishes_structure_and_tags():
-    x = bv_var("x", 8)
-    y = bv_var("y", 8)
-    d1, _ = canonical_fingerprint([("q", bv_eq(bv_add(x, y), bv_const(0, 8)))])
-    d2, _ = canonical_fingerprint([("q", bv_eq(bv_add(x, x), bv_const(0, 8)))])
-    assert d1 != d2
-    # Same term under a different tag (e.g. a plain SAT check vs an
-    # exists-forall query) must not alias.
-    t = bv_eq(x, y)
-    d3, _ = canonical_fingerprint([("satcheck", t)])
-    d4, _ = canonical_fingerprint([("phi", t)])
-    assert d3 != d4
-
-
-def test_fingerprint_handles_deep_terms_iteratively():
-    t = bv_var("x", 8)
-    for _ in range(5000):  # far past the recursion limit
-        t = bv_add(t, bv_const(1, 8))
-    digest, _ = canonical_fingerprint([("q", bv_eq(t, bv_const(0, 8)))])
-    assert len(digest) == 64
-
-
-def test_fingerprint_serialization_is_injective_for_evil_payloads():
-    # Under a plain '|'-joined line format these two distinct terms
-    # serialized to the same byte sequence ("x|1|1|y|"); delimiters and
-    # newlines inside payloads must not forge field or line boundaries.
-    a = Term("x|1", (), 1, "y")
-    b = Term("x", (), 1, "1|y")
-    da, _ = canonical_fingerprint([("q", a)])
-    db, _ = canonical_fingerprint([("q", b)])
-    assert da != db
-    c = Term("c", (), 8, "p\nc|8|q|")
-    d = Term("c", (), 8, "p")
-    dc, _ = canonical_fingerprint([("q", c)])
-    dd, _ = canonical_fingerprint([("q", d)])
-    assert dc != dd
+def pair_entry(key, verdict=Verdict.CORRECT, **fields):
+    """A well-formed cache entry, as ``store_pair`` writes it."""
+    cache = QueryCache()
+    assert cache.store_pair(key, RefinementResult(verdict, **fields))
+    return cache._shards[0].get(key)
 
 
 # ---------------------------------------------------------------------------
-# Query cache semantics
+# Result cache semantics
 # ---------------------------------------------------------------------------
 
 
@@ -140,67 +87,58 @@ def test_warm_cache_hits_skip_the_solver():
     assert _verdict_rows(cold) == _verdict_rows(warm)
 
 
-def test_cache_poisoning_guard_never_caches_resource_exhaustion():
-    cache = QueryCache()
-    # Queries run under the *remaining* per-test deadline, so a TIMEOUT
-    # observed with 0.2s left says nothing about the query under a fresh
-    # budget: exhaustion verdicts must never be stored or replayed, even
-    # for a structurally identical query.
-    cache.store("deadbeef", "timeout")
-    cache.store("deadbeef", "memout")
-    assert len(cache) == 0
-    assert cache.lookup("deadbeef") is None
-    # Definitive verdicts are budget-independent and do replay.
-    cache.store("cafebabe", "unsat")
-    assert cache.lookup("cafebabe")["result"] == "unsat"
-
-
 def test_corrupted_disk_cache_is_ignored_not_fatal(tmp_path):
-    from repro.engine.qcache import CACHE_VERSION
-
     path = tmp_path / "qc.jsonl"
-    good = {
-        "v": CACHE_VERSION,
-        "key": "k1",
-        "result": "unsat",
-        "model": {},
-        "iterations": 1,
-    }
+    good = pair_entry("k1")
+
+    def with_verdict(key, verdict):
+        return dict(good, key=key, pair=dict(good["pair"], verdict=verdict))
+
     path.write_text(
         "{truncated json\n"
         + json.dumps(good)
         + "\n"
-        + '{"v": 99, "key": "k2", "result": "unsat"}\n'  # future version
-        + '{"v": 2, "key": "k2b", "result": "unsat"}\n'  # stale version
-        + f'{{"v": {CACHE_VERSION}, "key": "k3", "result": "banana"}}\n'
-        + f'{{"v": {CACHE_VERSION}, "key": "k5", "result": "timeout"}}\n'
+        + json.dumps(dict(good, v=99, key="k2"))  # future version
+        + "\n"
+        + json.dumps(dict(good, v=2, key="k2b"))  # stale version
+        + "\n"
+        + json.dumps(with_verdict("k3", "banana"))
+        + "\n"
+        + json.dumps(with_verdict("k5", "timeout"))
+        + "\n"
         + "\x00\x01garbage\n"
     )
     cache = QueryCache(str(path))
     assert cache.dropped_lines == 6
     assert len(cache) == 1
-    assert cache.lookup("k1")["result"] == "unsat"
-    assert cache.lookup("k5") is None
+    assert cache.lookup_pair("k1").verdict is Verdict.CORRECT
+    assert cache.lookup_pair("k5") is None
     # And a persisted store round-trips through a fresh load.
-    cache.store("k4", "sat", model={"v0": 3}, iterations=2)
+    cache.store_pair(
+        "k4",
+        RefinementResult(
+            Verdict.INCORRECT, failed_check="ret", counterexample={"arg_x": 3}
+        ),
+    )
     reloaded = QueryCache(str(path))
-    assert reloaded.lookup("k4")["model"] == {"v0": 3}
+    assert reloaded.lookup_pair("k4").counterexample == {"arg_x": 3}
     # The quarantine count is part of the reported cache statistics.
     assert reloaded.counters()["quarantined"] == 6
 
 
 def test_cache_heal_discards_corrupt_lines_atomically(tmp_path):
-    from repro.engine.qcache import CACHE_VERSION
-
     path = tmp_path / "qc.jsonl"
-    good1 = {"v": CACHE_VERSION, "key": "k1", "result": "unsat", "model": {}}
-    good2 = {"v": CACHE_VERSION, "key": "k2", "result": "sat", "model": {"v0": 1}}
+    good1 = pair_entry("k1")
+    good2 = pair_entry(
+        "k2", Verdict.INCORRECT, failed_check="ret", counterexample={"arg_x": 1}
+    )
     path.write_text(
         json.dumps(good1)
         + "\n{torn garbage\n"
         + json.dumps(good2)
         + "\n"
-        + '{"v": 99, "key": "kx", "result": "unsat"}\n'
+        + json.dumps(dict(good1, v=99, key="kx"))
+        + "\n"
         + json.dumps(good2)[: len(json.dumps(good2)) // 2]  # truncated tail
     )
     cache = QueryCache(str(path))
@@ -210,27 +148,22 @@ def test_cache_heal_discards_corrupt_lines_atomically(tmp_path):
     healed = QueryCache(str(path))
     assert healed.dropped_lines == 0
     assert len(healed) == 2
-    assert healed.lookup("k1")["result"] == "unsat"
-    assert healed.lookup("k2")["model"] == {"v0": 1}
+    assert healed.lookup_pair("k1").verdict is Verdict.CORRECT
+    assert healed.lookup_pair("k2").counterexample == {"arg_x": 1}
     # No temp droppings left behind by the atomic rewrite.
     assert [p.name for p in tmp_path.iterdir()] == ["qc.jsonl"]
 
 
 def test_cache_tolerates_truncation_mid_multibyte_character(tmp_path):
-    from repro.engine.qcache import CACHE_VERSION
-
     path = tmp_path / "qc.jsonl"
-    good = {"v": CACHE_VERSION, "key": "k1", "result": "unsat", "model": {}}
-    entry = json.dumps(
-        {"v": CACHE_VERSION, "key": "k✓", "result": "sat", "model": {}},
-        ensure_ascii=False,
-    ).encode("utf-8")
+    good = pair_entry("k1")
+    entry = json.dumps(pair_entry("k✓"), ensure_ascii=False).encode("utf-8")
     # Cut inside the 3-byte check-mark character: a naive text-mode read
     # would raise UnicodeDecodeError before any quarantine logic runs.
     cut = entry.index("✓".encode("utf-8")) + 1
     path.write_bytes((json.dumps(good) + "\n").encode("utf-8") + entry[:cut])
     cache = QueryCache(str(path))
-    assert cache.lookup("k1")["result"] == "unsat"
+    assert cache.lookup_pair("k1").verdict is Verdict.CORRECT
     assert cache.dropped_lines == 1
 
 
@@ -456,10 +389,11 @@ def test_query_cache_warns_on_shard_count_mismatch(tmp_path, caplog):
     import logging
 
     path = tmp_path / "cache.jsonl"
-    # Write entries under shards=4, then reopen with shards=2: the v4
-    # files are invisible to the new layout, which must be called out.
+    # Write entries under shards=4, then reopen with shards=2: the
+    # 4-shard files are invisible to the new layout, which must be called
+    # out.
     cache = QueryCache(str(path), shards=4)
-    cache.store("deadbeef" * 8, "unsat", {}, 1)
+    cache.store_pair("deadbeef" * 8, RefinementResult(Verdict.CORRECT))
     with caplog.at_level(logging.WARNING, logger="repro.engine.qcache"):
         QueryCache(str(path), shards=2)
     text = caplog.text
@@ -473,10 +407,28 @@ def test_query_cache_same_shard_count_no_warning(tmp_path, caplog):
 
     path = tmp_path / "cache.jsonl"
     cache = QueryCache(str(path), shards=4)
-    cache.store("deadbeef" * 8, "unsat", {}, 1)
+    cache.store_pair("deadbeef" * 8, RefinementResult(Verdict.CORRECT))
     with caplog.at_level(logging.WARNING, logger="repro.engine.qcache"):
         QueryCache(str(path), shards=4)
     assert "NOT be loaded" not in caplog.text
+
+
+def test_query_cache_warns_on_single_file_cache_when_sharded(tmp_path, caplog):
+    import logging
+
+    path = tmp_path / "cache.jsonl"
+    key = "deadbeef" * 8
+    QueryCache(str(path)).store_pair(key, RefinementResult(Verdict.CORRECT))
+    with caplog.at_level(logging.WARNING, logger="repro.engine.qcache"):
+        sharded = QueryCache(str(path), shards=8)
+    text = caplog.text
+    assert "single-file cache" in text
+    assert "--cache-shards 1" in text
+    assert "--cache-shards 8" in text
+    assert "NOT be loaded" in text
+    # The single file is neither loaded nor moved.
+    assert sharded.lookup_pair(key) is None
+    assert QueryCache(str(path)).lookup_pair(key).verdict is Verdict.CORRECT
 
 
 def test_cli_rejects_nonpositive_cache_shards(capsys):

@@ -1,11 +1,12 @@
-"""Tests for the pair tier of the query cache.
+"""Tests for the result cache of whole verification jobs.
 
 Contract under test: a whole verification job is keyed by every input it
 reads (so jobs that could differ in verdict never share a key), only
 definitive, undegraded, unrejected results are stored, a replay is the
-stored result without timing plus one note, pair and query entries never
-answer each other, and every pool worker reads every shard, so a pooled
-re-run answers every definitive pair from the cache.
+stored result without timing plus one note, every pool worker reads
+every shard, and a warm worker reads what its siblings stored before
+each request, so a pooled re-run answers every definitive pair from the
+cache.
 """
 
 import dataclasses
@@ -129,9 +130,8 @@ def test_warm_run_replays_every_definitive_pair_without_encoder_or_solver(
     warm = run_suite(CORPUS, OPTS, inject_bugs=True, query_cache=cache)
     assert [stable(r) for r in warm.records] == [stable(r) for r in cold.records]
     assert storable_pairs(cold) == sum(sum(r.verdicts.values()) for r in cold.records)
-    assert cache.pair_hits == storable_pairs(cold) > 0
-    assert cache.counters()["pair_hits"] == cache.pair_hits
-    assert warm.tally.qcache_pair_hits == cache.pair_hits
+    assert cache.hits == storable_pairs(cold) > 0 and cache.misses == 0
+    assert warm.tally.qcache_hits == cache.hits
     assert calls == {"check": 0, "encode": 0}
 
 
@@ -281,7 +281,7 @@ def test_rejected_certificate_under_certify_is_not_stored():
         replay = _run_one_test(test, options, False, 1, None)
     assert honest.verdicts == replay.verdicts == {"correct": 1}
     assert len(pair_entries(cache)) == 1
-    assert cache.pair_hits == 1 and replay.solver_checks == 0
+    assert cache.hits == 1 and replay.solver_checks == 0
 
 
 def test_armed_fault_bypasses_the_pair_tier():
@@ -295,7 +295,8 @@ def test_armed_fault_bypasses_the_pair_tier():
         first = run_verification_job(src, tgt, sm, tm, OPTS)
         second = run_verification_job(src, tgt, sm, tm, OPTS)
     assert first.verdict is second.verdict is Verdict.INCORRECT
-    assert pair_entries(cache) == [] and cache.pair_hits == 0
+    assert pair_entries(cache) == []
+    assert cache.hits == cache.misses == 0
     assert PAIR_NOTE not in second.notes
     # Without the armed fault the same job is stored and replayed.
     with qcache.activate(cache):
@@ -327,13 +328,27 @@ def test_crafted_pair_lines_are_quarantined(tmp_path):
         dict(payload, failed_check=7),
         "correct",
     ]
+    # A solver-query entry, as caches written before pair-only entries
+    # hold them: not a pair entry, so quarantined like any bad line.
+    query_line = json.dumps(
+        {
+            "certified": False,
+            "iterations": 1,
+            "key": "dd" * 32,
+            "model": {},
+            "result": "unsat",
+            "v": CACHE_VERSION,
+        },
+        sort_keys=True,
+    )
     path = tmp_path / "qc.jsonl"
-    lines = [_pair_line(p) for p in bad_payloads]
+    lines = [_pair_line(p) for p in bad_payloads] + [query_line]
     lines.append(_pair_line(payload, key="cc" * 32))
     path.write_text("\n".join(lines) + "\n")
     loaded = QueryCache(str(path))
-    assert loaded.dropped_lines == len(bad_payloads)
+    assert loaded.dropped_lines == len(bad_payloads) + 1
     assert loaded.lookup_pair("aa" * 32) is None
+    assert loaded.lookup_pair("dd" * 32) is None
     replay = loaded.lookup_pair("cc" * 32)
     assert replay.verdict is Verdict.INCORRECT
     assert replay.counterexample == {"arg_x": 3}
@@ -355,7 +370,7 @@ def test_replayed_incorrect_keeps_counterexample_and_drops_timing(tmp_path):
     cache = QueryCache(path, shards=2)  # a disk hit, not a memory one
     with qcache.activate(cache):
         replay = run_verification_job(src, tgt, sm, tm, OPTS)
-    assert cache.pair_hits == 1 and cache.hits == 1 and cache.misses == 0
+    assert cache.hits == 1 and cache.misses == 0
     assert replay.verdict is Verdict.INCORRECT
     assert replay.failed_check == cold.failed_check
     assert replay.counterexample == cold.to_json()["counterexample"]
@@ -388,26 +403,7 @@ def test_from_json_inverts_to_json():
 
 
 # ---------------------------------------------------------------------------
-# (e) pair and query entries never answer each other
-# ---------------------------------------------------------------------------
-
-
-def test_pair_and_query_entries_never_answer_each_other(tmp_path):
-    path = str(tmp_path / "qc.jsonl")
-    cache = QueryCache(path, shards=2)
-    pair_key, query_key = "dd" * 32, "ee" * 32
-    assert cache.store_pair(pair_key, RefinementResult(Verdict.CORRECT))
-    cache.store(query_key, "unsat")
-    for c in (cache, QueryCache(path, shards=2)):
-        assert c.lookup(pair_key) is None
-        assert c.lookup_pair(query_key) is None
-        assert c.lookup(query_key)["result"] == "unsat"
-        assert c.lookup_pair(pair_key).verdict is Verdict.CORRECT
-        assert c.pair_hits == 1
-
-
-# ---------------------------------------------------------------------------
-# (f) pooled runs read every shard
+# (e) pooled runs read every shard
 # ---------------------------------------------------------------------------
 
 
@@ -428,16 +424,14 @@ def test_pooled_reruns_hit_every_definitive_pair(tmp_path):
     path = str(tmp_path / "qc.jsonl")
     fill = run_suite(CORPUS, OPTS, jobs=2, query_cache=path, cache_shards=8)
     assert [stable(r) for r in fill.records] == [stable(r) for r in inproc.records]
-    # A pooled fill persists every pair an in-process fill writes.  (Some
-    # query digests follow the fresh-name counter, so the query entries
-    # of the two fills may differ by schedule.)
+    # A pooled fill persists every pair an in-process fill writes.
     assert _disk_pair_keys(path, 8) == _disk_pair_keys(inproc_path, 8)
     expected = storable_pairs(fill)
     assert expected > 0
 
     cold = run_suite(CORPUS, OPTS, jobs=2, query_cache=path, cache_shards=8)
     assert [stable(r) for r in cold.records] == [stable(r) for r in fill.records]
-    assert sum(c["pair_hits"] for c in cold.worker_cache.values()) == expected
+    assert sum(c["hits"] for c in cold.worker_cache.values()) == expected
     assert_every_pair_replayed(cold)
 
     with WarmPool(jobs=2, cache_path=path, cache_shards=8) as pool:
@@ -446,9 +440,29 @@ def test_pooled_reruns_hit_every_definitive_pair(tmp_path):
     assert_every_pair_replayed(warm)
 
 
+def test_second_warm_pool_run_sees_what_sibling_workers_stored(tmp_path):
+    """A warm worker reads what its siblings, or any other process,
+    appended to the shard files before each request, so a second run()
+    on the same pool replays every definitive pair, whichever worker
+    verified it first."""
+    path = str(tmp_path / "qc.jsonl")
+    later = build_corpus()[10:14]  # stored by another process mid-life
+    with WarmPool(jobs=2, cache_path=path, cache_shards=8) as pool:
+        first = run_suite(CORPUS, OPTS, warm_pool=pool)
+        run_suite(later, OPTS, query_cache=path, cache_shards=8)
+        second = run_suite(CORPUS + later, OPTS, warm_pool=pool)
+    inproc = run_suite(CORPUS + later, OPTS)
+    assert [stable(r) for r in second.records] == [stable(r) for r in inproc.records]
+    assert storable_pairs(second) == sum(sum(r.verdicts.values()) for r in second.records)
+    assert_every_pair_replayed(second)
+    # Every reply carries its worker's counters and each pid keeps its
+    # latest, so the per-worker lookups add up to the records' lookups.
+    lookups = sum(r.qcache_hits + r.qcache_misses for r in first.records + second.records)
+    assert sum(c["hits"] + c["misses"] for c in pool.worker_cache.values()) == lookups
+
+
 def assert_every_pair_replayed(outcome) -> None:
-    """Each pair of each test was one cache lookup, and a hit: a pair
-    miss or a query lookup would count a miss or an extra hit."""
+    """Each pair of each test was one cache lookup, and a hit."""
     for r in outcome.records:
         assert r.qcache_misses == 0, r.test
         assert r.qcache_hits == sum(r.verdicts.values()), r.test
@@ -456,7 +470,7 @@ def assert_every_pair_replayed(outcome) -> None:
 
 
 # ---------------------------------------------------------------------------
-# (g) the key does not depend on the hash seed
+# (f) the key does not depend on the hash seed
 # ---------------------------------------------------------------------------
 
 

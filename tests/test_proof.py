@@ -423,33 +423,3 @@ def test_unsat_core_notes_surface_in_refinement_result():
     )
     assert result.verdict.value == "incorrect"
     assert any("unsat core" in note for note in result.notes)
-
-
-# -- query-cache certification gating ----------------------------------------
-
-
-def test_qcache_uncertified_unsat_is_miss_under_certify():
-    from repro.engine.qcache import QueryCache
-
-    cache = QueryCache()
-    cache.store("k1", "unsat", certified=False)
-    cache.store("k2", "unsat", certified=True)
-    cache.store("k3", "sat", model={"v0": 1})
-
-    assert cache.lookup("k1") is not None  # normal mode replays freely
-    assert cache.lookup("k1", require_certified_unsat=True) is None
-    assert cache.lookup("k2", require_certified_unsat=True) is not None
-    # SAT entries are witnessed by a model, not a proof: always replayable.
-    assert cache.lookup("k3", require_certified_unsat=True) is not None
-
-
-def test_qcache_certified_flag_roundtrips_through_disk(tmp_path):
-    from repro.engine.qcache import QueryCache
-
-    path = str(tmp_path / "cache.jsonl")
-    cache = QueryCache(path)
-    cache.store("k1", "unsat", certified=True)
-    cache.store("k2", "unsat", certified=False)
-    reloaded = QueryCache(path)
-    assert reloaded.lookup("k1", require_certified_unsat=True) is not None
-    assert reloaded.lookup("k2", require_certified_unsat=True) is None

@@ -453,7 +453,7 @@ def test_corpus_verdict_parity_certified(corpus_slice):
 
 
 def test_options_from_old_payload_ignore_legacy_pairing():
-    old = dict(VerifyOptions().to_json(), legacy_pairing=True)
+    old = dict(VerifyOptions().to_json(), legacy_pairing=True, witness_pairing=False)
     assert VerifyOptions.from_json(old) == VerifyOptions()
 
 

@@ -1,19 +1,18 @@
-"""Tests for the warm pool and the sharded two-tier query cache.
+"""Tests for the warm pool and the sharded two-tier result cache.
 
-Contract under test: the sharded cache is a drop-in for the legacy
-single-file layout (same lookups, same poisoning guard, migrated
-automatically), shard routing is a pure function of the digest, the
-in-memory tier is a real bounded LRU, and a persistent warm pool
-produces verdicts identical to the cold sequential path — including
+Contract under test: shard routing is a pure function of the digest,
+every instance loads every shard and reads what other writers appended
+since, the in-memory tier is a real bounded LRU, and a persistent warm
+pool produces verdicts identical to the cold sequential path — including
 under ``--certify``, intern-table trimming, and injected worker deaths.
 """
 
 import hashlib
+import json
 import os
 
 from repro.engine import qcache
 from repro.engine.qcache import (
-    CACHE_VERSION,
     MIN_SHRINK_ENTRIES,
     CacheShard,
     QueryCache,
@@ -23,18 +22,26 @@ from repro.engine.qcache import (
 from repro.engine.warmpool import WarmPool
 from repro.harness.degrade import DegradationLadder
 from repro.harness.faults import FaultPlan, FaultSpec
-from repro.refinement.check import VerifyOptions
+from repro.refinement.check import RefinementResult, Verdict, VerifyOptions
 from repro.serve.supervisor import ServeConfig
 from repro.suite.runner import run_suite
 from repro.suite.unittests import build_corpus
 
 OPTS = VerifyOptions(timeout_s=10.0)
 CORPUS = build_corpus()[:8]
+CORRECT = RefinementResult(Verdict.CORRECT)
 
 
 def digests(n: int):
-    """Deterministic hex digests, like canonical fingerprints."""
+    """Deterministic hex digests, like pair fingerprints."""
     return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(n)]
+
+
+def pair_entry(key: str) -> dict:
+    """A well-formed cache entry, as ``store_pair`` writes it."""
+    cache = QueryCache()
+    assert cache.store_pair(key, CORRECT)
+    return cache._shards[0].get(key)
 
 
 def stable(record) -> dict:
@@ -58,9 +65,9 @@ def test_lru_evicts_least_recently_used_first():
     shard = CacheShard(0, None, max_entries=3)
     a, b, c, d = digests(4)
     for key in (a, b, c):
-        shard.put(key, {"v": CACHE_VERSION, "key": key, "result": "unsat"})
+        shard.put(key, pair_entry(key))
     assert shard.get(a) is not None  # refresh a: b is now the oldest
-    shard.put(d, {"v": CACHE_VERSION, "key": d, "result": "unsat"})
+    shard.put(d, pair_entry(d))
     assert shard.get(b) is None  # evicted in recency order, not insertion
     assert shard.get(a) is not None
     assert shard.get(c) is not None
@@ -70,12 +77,12 @@ def test_lru_evicts_least_recently_used_first():
 
 
 def test_lru_byte_bound_evicts_and_counts():
-    entry = {"v": CACHE_VERSION, "key": "x", "result": "sat", "model": {}}
+    entry = pair_entry("x")
     cost = CacheShard._entry_cost(entry)
     shard = CacheShard(0, None, max_entries=1000, max_bytes=3 * cost)
     keys = digests(5)
     for key in keys:
-        shard.put(key, dict(entry, key=key))
+        shard.put(key, pair_entry(key))
     assert shard.evictions >= 1
     assert shard.mem_bytes <= 3 * (cost + 64)  # keys differ a little in cost
     assert shard.get(keys[-1]) is not None  # newest survives
@@ -88,11 +95,11 @@ def test_query_cache_counters_expose_shard_tier():
     cache = QueryCache(None, shards=4)
     d = digests(6)
     for key in d:
-        cache.store(key, "unsat")
+        cache.store_pair(key, CORRECT)
     counters = cache.counters()
     assert counters["shards"] == 4
-    assert counters["pair_hits"] == 0
-    assert counters["entries"] == len(d)
+    assert counters["stores"] == counters["entries"] == len(d)
+    assert counters["hits"] == counters["misses"] == 0
     assert counters["evictions"] == 0
     assert len(counters["per_shard"]) == 4
     assert sum(s["entries"] for s in counters["per_shard"]) == len(d)
@@ -118,55 +125,17 @@ def test_entries_land_in_their_routed_shard_file(tmp_path):
     cache = QueryCache(path, shards=4)
     keys = digests(32)
     for key in keys:
-        cache.store(key, "unsat")
+        cache.store_pair(key, CORRECT)
     for k in range(4):
         shard_file = shard_path(path, k, 4)
         want = sorted(key for key in keys if shard_index(key, 4) == k)
-        got = sorted(
-            line.split('"key": "')[1][:64]
-            for line in open(shard_file, encoding="utf-8")
-        )
+        with open(shard_file, encoding="utf-8") as fh:
+            got = sorted(json.loads(line)["key"] for line in fh)
         assert got == want
     # A fresh instance (another process, in effect) sees every entry.
     fresh = QueryCache(path, shards=4)
-    assert all(fresh.lookup(key) is not None for key in keys)
+    assert all(fresh.lookup_pair(key) is not None for key in keys)
     assert fresh.hits == len(keys)
-
-
-def test_legacy_single_file_cache_is_migrated_on_first_sharded_open(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    legacy = QueryCache(path)  # shards=1: the legacy layout
-    keys = digests(24)
-    for key in keys:
-        legacy.store(key, "unsat", certified=True)
-    assert os.path.exists(path)
-
-    sharded = QueryCache(path, shards=4)
-    assert not os.path.exists(path)  # claimed and moved...
-    assert os.path.exists(path + ".migrated")  # ...kept for audit
-    assert all(sharded.lookup(k, require_certified_unsat=True) for k in keys)
-    assert sharded.counters()["load_entries"] == len(keys)
-
-    # Re-opening is idempotent: no legacy file left, entries intact.
-    again = QueryCache(path, shards=4)
-    assert all(again.lookup(k) is not None for k in keys)
-
-    # And shards=1 on the same stem still works standalone (fresh file).
-    solo = QueryCache(path)
-    assert solo.lookup(keys[0]) is None  # its file was migrated away
-
-
-def test_crashed_migration_claim_file_is_finished(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    legacy = QueryCache(path)
-    keys = digests(8)
-    for key in keys:
-        legacy.store(key, "sat", model={"v0": 1})
-    # Simulate a migrator that claimed the file and died mid-copy.
-    os.rename(path, path + ".migrating")
-    cache = QueryCache(path, shards=2)
-    assert all(cache.lookup(k) is not None for k in keys)
-    assert not os.path.exists(path + ".migrating")
 
 
 def test_every_instance_loads_and_appends_every_shard(tmp_path):
@@ -174,7 +143,7 @@ def test_every_instance_loads_and_appends_every_shard(tmp_path):
     keys = digests(40)
     full = QueryCache(path, shards=4)
     for key in keys:
-        full.store(key, "unsat")
+        full.store_pair(key, CORRECT)
 
     other = QueryCache(path, shards=4)
     counters = other.counters()
@@ -185,26 +154,86 @@ def test_every_instance_loads_and_appends_every_shard(tmp_path):
     )
     assert counters["load_bytes"] == total_bytes
     assert {s["load_entries"] > 0 for s in counters["per_shard"]} == {True}
-    assert all(other.lookup(k) is not None for k in keys)
+    assert all(other.lookup_pair(k) is not None for k in keys)
     # ...and appends each store to the shard file its digest routes to.
     new = hashlib.sha256(b"new").hexdigest()
     routed = shard_path(path, shard_index(new, 4), 4)
     size_before = os.path.getsize(routed)
-    other.store(new, "unsat")
+    other.store_pair(new, CORRECT)
     assert os.path.getsize(routed) > size_before
-    assert QueryCache(path, shards=4).lookup(new) is not None
+    assert QueryCache(path, shards=4).lookup_pair(new) is not None
+    # A long-lived instance reads it on refresh, and nothing twice.
+    assert full.lookup_pair(new) is None
+    assert full.refresh() == 1
+    assert full.lookup_pair(new) is not None
+    assert full.refresh() == 0
 
 
-def test_sharded_poisoning_and_certify_guards_unchanged(tmp_path):
+def test_refresh_reads_complete_lines_and_rereads_replaced_files(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = QueryCache(path, shards=4)
-    d = digests(3)
-    cache.store(d[0], "timeout")  # poisoning guard: never stored
-    cache.store(d[1], "unsat", certified=False)
-    cache.store(d[2], "unsat", certified=True)
-    assert cache.lookup(d[0]) is None
-    assert cache.lookup(d[1], require_certified_unsat=True) is None
-    assert cache.lookup(d[2], require_certified_unsat=True) is not None
+    reader = QueryCache(path, shards=2)
+    writer = QueryCache(path, shards=2)
+    keys = [k for k in digests(40) if shard_index(k, 2) == 0][:3]
+    routed = shard_path(path, 0, 2)
+    # An append still in flight (no newline yet) is left for later.
+    line = json.dumps(pair_entry(keys[0]), sort_keys=True)
+    with open(routed, "a", encoding="utf-8") as fh:
+        fh.write(line[:20])
+    assert reader.refresh() == 0
+    assert reader.dropped_lines == 0
+    with open(routed, "a", encoding="utf-8") as fh:
+        fh.write(line[20:] + "\n")
+    assert reader.refresh() == 1
+    assert reader.lookup_pair(keys[0]) is not None
+    with open(routed, "a", encoding="utf-8") as fh:
+        fh.write("garbage\n")
+    assert reader.refresh() == 0
+    assert reader.dropped_lines == 1
+    # A file heal() replaced (here shorter than what was read) is read
+    # again from the start, not from the old offset.
+    writer.heal()
+    writer.store_pair(keys[1], CORRECT)
+    assert reader.refresh() == 1
+    assert reader.lookup_pair(keys[1]) is not None
+    assert reader.dropped_lines == 1
+    # So is a file that shrank under the bytes already read.
+    with open(routed, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(pair_entry(keys[2]), sort_keys=True) + "\n")
+    assert reader.refresh() == 1
+    assert reader.lookup_pair(keys[2]) is not None
+
+
+def _store_pairs(path: str, start: int, n: int) -> None:
+    cache = QueryCache(path, shards=2)
+    for key in digests(start + n)[start:]:
+        cache.store_pair(key, CORRECT)
+
+
+def test_refresh_under_concurrent_writers_loses_nothing(tmp_path):
+    """More writer processes than cores append while a reader refreshes
+    in a loop: the reader never consumes a partial line, so it ends with
+    every entry and nothing quarantined."""
+    import multiprocessing
+    import time
+
+    path = str(tmp_path / "cache.jsonl")
+    reader = QueryCache(path, shards=2)
+    ctx = multiprocessing.get_context("spawn")
+    writers = [
+        ctx.Process(target=_store_pairs, args=(path, k * 200, 200))
+        for k in range(3)
+    ]
+    for w in writers:
+        w.start()
+    deadline = time.monotonic() + 60.0
+    while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+        reader.refresh()
+    for w in writers:
+        w.join(timeout=10.0)
+        assert not w.is_alive() and w.exitcode == 0
+    reader.refresh()
+    assert reader.dropped_lines == 0
+    assert len(reader) == 600
 
 
 def test_sharded_heal_discards_corrupt_lines(tmp_path):
@@ -212,7 +241,7 @@ def test_sharded_heal_discards_corrupt_lines(tmp_path):
     cache = QueryCache(path, shards=2)
     keys = digests(10)
     for key in keys:
-        cache.store(key, "unsat")
+        cache.store_pair(key, CORRECT)
     for k in range(2):
         with open(shard_path(path, k, 2), "a", encoding="utf-8") as fh:
             fh.write("garbage\n")
@@ -222,7 +251,7 @@ def test_sharded_heal_discards_corrupt_lines(tmp_path):
     assert fresh.heal() == 4
     healed = QueryCache(path, shards=2)
     assert healed.dropped_lines == 0
-    assert all(healed.lookup(k) is not None for k in keys)
+    assert all(healed.lookup_pair(k) is not None for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +273,7 @@ def test_shrink_halves_to_floor_then_stops_and_evicts():
     cache = QueryCache(None, max_entries=4 * MIN_SHRINK_ENTRIES)
     keys = digests(3 * MIN_SHRINK_ENTRIES)
     for key in keys:
-        cache.store(key, "unsat")
+        cache.store_pair(key, CORRECT)
     assert len(cache) == len(keys)
     assert cache.shrink() is not None  # -> 2*floor
     assert cache.shrink() == (2 * MIN_SHRINK_ENTRIES, MIN_SHRINK_ENTRIES)
@@ -356,14 +385,13 @@ def test_warm_pool_sharded_cache_reports_per_worker_counters(tmp_path):
     assert [stable(r) for r in first.records] == [
         stable(r) for r in second.records
     ]
-    assert second.tally.qcache_hits > 0  # warm tier replayed queries
+    assert second.tally.qcache_hits > 0  # warm tier replayed pairs
     assert pool.worker_cache  # per-worker counters came back
     for counters in pool.worker_cache.values():
         assert counters["shards"] == 4
         assert "owned_shards" not in counters
-    # Each worker replays the pairs it verified itself in the first run.
-    assert sum(c["pair_hits"] for c in pool.worker_cache.values()) > 0
-    # Shard files exist on disk; no legacy single file was written.
+    assert sum(c["hits"] for c in pool.worker_cache.values()) > 0
+    # Shard files exist on disk; no single file was written.
     assert not os.path.exists(path)
     assert any(
         os.path.exists(shard_path(path, k, 4)) for k in range(4)
