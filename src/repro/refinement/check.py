@@ -63,7 +63,6 @@ from repro.smt.terms import (
     bv_eq,
     bv_ule,
     bv_var,
-    fresh_name,
     substitute,
     term_vars,
 )
@@ -434,6 +433,7 @@ def _verify_with_deadline(
     )
     globals_ = dict(module_src.globals)
     globals_.update(module_tgt.globals)
+    src_ns, tgt_ns = _namespaces(src, tgt)
     try:
         maybe_fault("encode", deadline=deadline, unroll_factor=options.unroll_factor)
         deadline.check("layout")
@@ -446,7 +446,7 @@ def _verify_with_deadline(
         enc_src = _Encoder(
             src_unrolled,
             module_src,
-            "src",
+            src_ns,
             layout,
             deadline=deadline,
             fold_known_bits=options.prescreen,
@@ -455,7 +455,7 @@ def _verify_with_deadline(
         enc_tgt = _Encoder(
             tgt_unrolled,
             module_tgt,
-            "tgt",
+            tgt_ns,
             layout,
             deadline=deadline,
             fold_known_bits=options.prescreen,
@@ -500,6 +500,24 @@ def _verify_with_deadline(
     )
     checker.phase_times["encode"] = time.monotonic() - encode_start
     return done(checker.run())
+
+
+def _namespaces(src: Function, tgt: Function) -> Tuple[str, str]:
+    """The encoder namespaces of a pair's source and target.
+
+    A version keeps the namespace it was first given in its test (a fact
+    of the sealed version): the source keeps its own, ``a`` when it has
+    none, and the target takes the other one.  In a pipeline the target
+    of one pair is the source of the next, so both pairs see it under the
+    same names.  A target whose own namespace is the source's (``tgt is
+    src`` among others) is still encoded under the other one, so the two
+    sides never share a variable.  No name depends on the pair's role or
+    on anything the process ran before.
+    """
+    src_ns = src.fact("namespace", lambda: "a")
+    tgt_ns = "b" if src_ns == "a" else "a"
+    tgt.fact("namespace", lambda: tgt_ns)
+    return src_ns, tgt_ns
 
 
 def _copy_to_unroll(fn: Function) -> Function:
@@ -1316,7 +1334,7 @@ def _classify_core_name(name: str) -> str:
     Core variables come from the inner CEGAR solver's assumption literals,
     which pin existentials to the candidate model: function inputs
     (``arg_``), UB/poison/undef shadow variables, memory contents and the
-    encoder's nondeterminism variables (``src.freeze_x!1`` etc.; a
+    encoder's nondeterminism variables (``a.freeze_x!1`` etc.; a
     trailing ``'`` marks the primed source copy).
     """
     base = name.rstrip("'")
@@ -1460,14 +1478,14 @@ def _pair_calls(
 
     tgt_axioms: List[BoolTerm] = []
     tgt_ub = FALSE
-    for t in tgt.calls:
+    for i, t in enumerate(tgt.calls):
         candidates = [s for s in src.calls if _compatible(s, t)]
         if not candidates:
             # A call the source never makes: introducing calls is illegal.
             tgt_ub = bool_or(tgt_ub, t.dom)
             continue
         sel_width = max(1, len(candidates).bit_length())
-        sel = bv_var(fresh_name("tgt.callsel"), sel_width)
+        sel = bv_var(f"callsel!{i}", sel_width)  # numbered within the pair
         # sel <= len(candidates); == len means "no source call matches".
         tgt_axioms.append(bv_ule(sel, bv_const(len(candidates), sel_width)))
         matches: List[BoolTerm] = []

@@ -116,7 +116,6 @@ from repro.smt.terms import (
     bv_var,
     bv_xor,
     bv_zext,
-    fresh_name,
     substitute,
 )
 
@@ -154,8 +153,7 @@ class CallRecord:
 class EncodedFunction:
     """The SMT summary of one function (its final state, §3.6)."""
 
-    fn: Function
-    prefix: str
+    namespace: str
     layout: MemoryLayout
     ret_value: Optional[object]  # SymValue | SymAggregate | None
     ret_domain: BoolTerm = TRUE
@@ -182,16 +180,18 @@ class EncodedFunction:
 def encode_function(
     fn: Function,
     module: Module,
-    prefix: str,
+    namespace: str,
     layout: Optional[MemoryLayout] = None,
     unroll_factor: int = 4,
     config: Optional[MemoryConfig] = None,
 ) -> EncodedFunction:
     """Encode ``fn`` (a definition in ``module``) into an SMT summary.
 
-    ``prefix`` namespaces function-local variables ("src"/"tgt"); the
-    function arguments and global contents use shared (unprefixed) names
-    so a source/target pair meets on the same inputs.
+    ``namespace`` prefixes the encoding's own variables, numbered from 0
+    (``<namespace>.<tag>!<k>``); the function arguments and global
+    contents use shared (unprefixed) names so a source/target pair meets
+    on the same inputs.  Two encodings under different namespaces never
+    share a variable.
     """
     work = fn.clone()
     try:
@@ -207,7 +207,7 @@ def encode_function(
             1 for inst in work.instructions() if isinstance(inst, Alloca)
         )
         layout = build_layout(module.globals, pointer_args, num_allocas, config)
-    return _Encoder(work, module, prefix, layout).encode()
+    return _Encoder(work, module, namespace, layout).encode()
 
 
 class _Encoder:
@@ -215,7 +215,7 @@ class _Encoder:
         self,
         fn: Function,
         module: Module,
-        prefix: str,
+        namespace: str,
         layout: MemoryLayout,
         deadline: Optional[Deadline] = None,
         fold_known_bits: bool = False,
@@ -223,7 +223,7 @@ class _Encoder:
     ) -> None:
         self.fn = fn
         self.module = module
-        self.prefix = prefix
+        self.namespace = namespace
         self.layout = layout
         self.deadline = deadline
         self.fold_known_bits = fold_known_bits
@@ -247,10 +247,19 @@ class _Encoder:
         self._alloca_bids = assign_alloca_bids(fn, layout)
         self._call_counts: Dict[str, int] = {}
         self._cur_name: Optional[str] = None
+        self._fresh_count = 0
 
     # -- fresh variables --------------------------------------------------------
+    def _new_name(self, tag: str) -> str:
+        """``<namespace>.<tag>!<k>``, ``k`` counting from 0 in this encoding:
+        the names depend on the function, its namespace and the encoder's
+        inputs, never on what the process encoded before."""
+        name = f"{self.namespace}.{tag}!{self._fresh_count}"
+        self._fresh_count += 1
+        return name
+
     def _fresh_undef(self, width: int, origin: Optional[str] = None) -> BvTerm:
-        name = fresh_name(f"{self.prefix}.undef")
+        name = self._new_name("undef")
         self.undef_vars.append(QuantVar(name, width))
         self._undef_width[name] = width
         if origin is not None:
@@ -258,7 +267,7 @@ class _Encoder:
         return bv_var(name, width)
 
     def _fresh_nondet(self, width: int, tag: str = "nd") -> BvTerm:
-        name = fresh_name(f"{self.prefix}.{tag}")
+        name = self._new_name(tag)
         self.nondet_vars.append(QuantVar(name, width))
         self.origin[name] = tag
         return bv_var(name, width)
@@ -415,7 +424,7 @@ class _Encoder:
         dom[order[0]] = TRUE
         edge_cond: Dict[Tuple[str, str], BoolTerm] = {}
         mem_out: Dict[str, SymMemory] = {}
-        init_mem = SymMemory.initial(self.layout, self.module.globals, self.prefix)
+        init_mem = SymMemory.initial(self.layout, self.module.globals, self.namespace)
         predecessors = fn.predecessors()
 
         for label in order:
@@ -483,8 +492,7 @@ class _Encoder:
             final_memory = init_mem
 
         return EncodedFunction(
-            fn=self.fn,
-            prefix=self.prefix,
+            namespace=self.namespace,
             layout=self.layout,
             ret_value=ret_value,
             ret_domain=ret_domain,
@@ -1335,7 +1343,7 @@ class _Encoder:
             value_var = self._fresh_nondet(width, f"call_{inst.callee}_{index}")
             from repro.smt.terms import bool_var
 
-            poison_name = fresh_name(f"{self.prefix}.callp_{inst.callee}_{index}")
+            poison_name = self._new_name(f"callp_{inst.callee}_{index}")
             self.nondet_vars.append(QuantVar(poison_name, 0))
             self.origin[poison_name] = f"callp_{inst.callee}_{index}"
             poison_var = bool_var(poison_name)
@@ -1355,7 +1363,7 @@ class _Encoder:
                     hv = self._fresh_nondet(8, f"hv_{inst.callee}_{index}_{bid}_{j}")
                     from repro.smt.terms import bool_var
 
-                    hp_name = fresh_name(f"{self.prefix}.hvp")
+                    hp_name = self._new_name("hvp")
                     self.nondet_vars.append(QuantVar(hp_name, 0))
                     self.origin[hp_name] = f"hvp_{inst.callee}_{index}_{bid}_{j}"
                     if approximate:

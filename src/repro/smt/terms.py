@@ -13,7 +13,6 @@ everywhere in this code base.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -21,7 +20,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 _INTERN: Dict[tuple, "Term"] = {}
-_FRESH_COUNTER = itertools.count()
 
 #: Callbacks invoked by :func:`reset_interning`.  Any module that caches
 #: data keyed by interned terms must register a hook here, or a recycled
@@ -33,11 +31,6 @@ def on_reset(hook: Callable[[], None]) -> Callable[[], None]:
     """Register ``hook`` to run whenever the intern table is reset."""
     _RESET_HOOKS.append(hook)
     return hook
-
-
-def fresh_name(prefix: str = "tmp") -> str:
-    """Return a globally unique symbol name."""
-    return f"{prefix}!{next(_FRESH_COUNTER)}"
 
 
 def intern_size() -> int:

@@ -305,7 +305,8 @@ def reset_test_state() -> None:
     function they describe and die with it.  The in-process loop of
     :func:`run_suite` and the cold-pool worker loop both call this before
     every test; warm workers reset only at their intern high-water mark.
-    The fresh-name counter keeps running.
+    Fresh SMT variable names are numbered per encoding, so nothing about
+    them carries over either.
     """
     reset_interning()
 
