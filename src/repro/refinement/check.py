@@ -33,7 +33,7 @@ from repro.analysis.prescreen import Prescreener
 from repro.harness.deadline import Deadline, DeadlineExceeded
 from repro.harness.faults import maybe_fault
 from repro.ir.function import Function
-from repro.ir.instructions import Alloca
+from repro.ir.instructions import Alloca, Call
 from repro.ir.loops import loop_forest
 from repro.ir.module import Module
 from repro.ir.types import PointerType
@@ -45,7 +45,7 @@ from repro.semantics.encoder import (
     _Encoder,
 )
 from repro.semantics.libfuncs import pair_class_of
-from repro.semantics.memory import MemoryConfig, build_layout
+from repro.semantics.memory import MemoryConfig, MemoryLayout, build_layout
 from repro.semantics.value import SymAggregate, SymValue
 from repro.smt.exists_forall import EFOutcome, EFResult, QuantVar, solve_exists_forall
 from repro.smt.solver import CheckResult, ResourceLimits, SmtSolver
@@ -63,6 +63,7 @@ from repro.smt.terms import (
     bv_eq,
     bv_ule,
     bv_var,
+    intern_generation,
     substitute,
     term_vars,
 )
@@ -409,28 +410,22 @@ def _verify_with_deadline(
     # Everything from the clone through encoding counts as the "encode"
     # phase for per-phase attribution.  The checkpoints keep their
     # historical "deepcopy" phase name so TIMEOUT records stay stable.
-    # The unrolled copies are sealed, so every analysis below runs once
-    # per function version; a sealed loop-free function is its own copy.
+    # The unrolled copies are sealed, so every analysis below, and the
+    # encoding itself, runs once per function version: the target of one
+    # pipeline step is the source of the next.
     encode_start = time.monotonic()
     try:
         maybe_fault("unroll", deadline=deadline, unroll_factor=options.unroll_factor)
         deadline.check("deepcopy")
-        src_unrolled = _copy_to_unroll(src)
+        src_unrolled = _unrolled(src, options.unroll_factor, deadline)
         deadline.check("deepcopy")
-        tgt_unrolled = _copy_to_unroll(tgt)
-        for work in (src_unrolled, tgt_unrolled):
-            if not work.sealed:
-                unroll_function(work, options.unroll_factor, deadline=deadline)
-                work.seal()
+        tgt_unrolled = _unrolled(tgt, options.unroll_factor, deadline)
     except UnrollError:
         return done(
             RefinementResult(Verdict.UNSUPPORTED, unsupported_feature="irreducible-loop")
         )
     pointer_args = [a.name for a in src.args if isinstance(a.type, PointerType)]
-    num_allocas = max(
-        sum(1 for i in src_unrolled.instructions() if isinstance(i, Alloca)),
-        sum(1 for i in tgt_unrolled.instructions() if isinstance(i, Alloca)),
-    )
+    num_allocas = max(_num_allocas(src_unrolled), _num_allocas(tgt_unrolled))
     globals_ = dict(module_src.globals)
     globals_.update(module_tgt.globals)
     src_ns, tgt_ns = _namespaces(src, tgt)
@@ -443,24 +438,12 @@ def _verify_with_deadline(
             deadline.check("memdf")
             memdf_src = analyze_memdf(src_unrolled, layout)
             memdf_tgt = analyze_memdf(tgt_unrolled, layout)
-        enc_src = _Encoder(
-            src_unrolled,
-            module_src,
-            src_ns,
-            layout,
-            deadline=deadline,
-            fold_known_bits=options.prescreen,
-            memdf=memdf_src,
-        ).encode()
-        enc_tgt = _Encoder(
-            tgt_unrolled,
-            module_tgt,
-            tgt_ns,
-            layout,
-            deadline=deadline,
-            fold_known_bits=options.prescreen,
-            memdf=memdf_tgt,
-        ).encode()
+        enc_src = _encoding(
+            src_unrolled, module_src, src_ns, layout, options, memdf_src, deadline
+        )
+        enc_tgt = _encoding(
+            tgt_unrolled, module_tgt, tgt_ns, layout, options, memdf_tgt, deadline
+        )
     except EncodeError as exc:
         return done(
             RefinementResult(Verdict.UNSUPPORTED, unsupported_feature=exc.feature)
@@ -520,12 +503,104 @@ def _namespaces(src: Function, tgt: Function) -> Tuple[str, str]:
     return src_ns, tgt_ns
 
 
-def _copy_to_unroll(fn: Function) -> Function:
-    """``fn`` itself when it is sealed and has no loop (unrolling would
-    leave it as it is), else an unsealed clone to unroll."""
+def _unrolled(fn: Function, factor: int, deadline: Deadline) -> Function:
+    """``fn``'s sealed, loop-free copy for the check.
+
+    A sealed function with no loop is its own copy.  A sealed function
+    with a loop is cloned, unrolled and sealed once per unroll factor (a
+    fact of the version), so every pair that reads the version shares the
+    copy and its facts.  An unsealed function is unrolled afresh.
+    """
     if fn.sealed and not loop_forest(fn).loops:
         return fn
-    return fn.clone()
+
+    def unroll() -> Function:
+        work = fn.clone()
+        unroll_function(work, factor, deadline=deadline)
+        return work.seal()
+
+    return fn.fact(("unrolled", factor), unroll)
+
+
+def _num_allocas(fn: Function) -> int:
+    return fn.fact(
+        "num-allocas", lambda: sum(1 for i in fn.instructions() if isinstance(i, Alloca))
+    )
+
+
+def _encoding(
+    fn: Function,
+    module: Module,
+    namespace: str,
+    layout: MemoryLayout,
+    options: VerifyOptions,
+    memdf,
+    deadline: Deadline,
+) -> EncodedFunction:
+    """The encoding of the sealed unrolled version ``fn``, memoized on it.
+
+    The key covers every input the encoder reads besides ``fn``: the
+    namespace, the layout (by value), ``options.prescreen`` (the
+    known-bits fold), whether memdf facts narrow the memory accesses
+    (they are themselves a fact of ``fn`` and the layout) and what it
+    reads of ``module`` (:func:`_module_inputs`).  The intern generation
+    keeps an encoding from being returned after a ``reset_interning()``
+    made its terms stale.  A deadline stops an encoding; a stopped
+    encoding is not memoized.  The memdf narrowing counts are added to
+    the statistics on every use, as if the encoder had run.
+    """
+    key = (
+        "encoding",
+        intern_generation(),
+        namespace,
+        layout,
+        options.prescreen,
+        memdf is not None,
+        _module_inputs(fn, module, layout),
+    )
+    enc = fn.fact(
+        key,
+        lambda: _Encoder(
+            fn,
+            module,
+            namespace,
+            layout,
+            deadline=deadline,
+            fold_known_bits=options.prescreen,
+            memdf=memdf,
+        ).encode(),
+    )
+    MEMDF_STATS.narrowed_accesses += enc.narrowed_accesses
+    MEMDF_STATS.block_skips += enc.block_skips
+    return enc
+
+
+def _module_inputs(fn: Function, module: Module, layout: MemoryLayout) -> tuple:
+    """What the encoder reads of ``module`` when it encodes ``fn``, by
+    value: the type and initializer of each global in the layout
+    (``SymMemory.initial``) and the attributes of each callee's
+    declaration (``module.get_function``; ``llvm.*`` intrinsics read
+    none)."""
+    globals_ = []
+    for info in layout.shared_blocks:
+        if info.name.startswith("@"):
+            g = module.globals.get(info.name[1:])
+            globals_.append(None if g is None else (g.value_type, g.initializer))
+    callees = fn.fact(
+        "callees",
+        lambda: tuple(
+            sorted(
+                {
+                    inst.callee
+                    for inst in fn.instructions()
+                    if isinstance(inst, Call) and not inst.callee.startswith("llvm.")
+                }
+            )
+        ),
+    )
+    return tuple(globals_), tuple(
+        (name, getattr(module.get_function(name), "attrs", None)) for name in callees
+    )
 
 
 class _RefinementChecker:

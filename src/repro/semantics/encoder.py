@@ -16,7 +16,8 @@ branch-on-undef UB and the return-undef refinement query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis.pointsto import assign_alloca_bids
 from repro.harness.deadline import Deadline
@@ -128,13 +129,13 @@ class EncodeError(Exception):
         self.feature = feature
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallRecord:
     """One call site, for the §6 pairing constraints."""
 
     callee: str
     dom: BoolTerm
-    args: List[SymValue]
+    args: Tuple[SymValue, ...]
     result: Optional[SymValue]
     out_value_name: Optional[str]
     out_poison_name: Optional[str]
@@ -149,9 +150,16 @@ class CallRecord:
     havoc: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncodedFunction:
-    """The SMT summary of one function (its final state, §3.6)."""
+    """The SMT summary of one function (its final state, §3.6).
+
+    Read-only once ``encode()`` returns: the refinement check memoizes it
+    on the sealed function version, and every pair that reads the
+    version shares it.  Its collections are tuples, frozensets and
+    read-only maps; ``final_memory`` is a plain :class:`SymMemory` that
+    no reader may mutate.  It holds no reference to the function.
+    """
 
     namespace: str
     layout: MemoryLayout
@@ -161,19 +169,24 @@ class EncodedFunction:
     noreturn: BoolTerm = FALSE
     sink: BoolTerm = FALSE
     pre: BoolTerm = TRUE
-    undef_vars: List[QuantVar] = field(default_factory=list)
-    nondet_vars: List[QuantVar] = field(default_factory=list)
+    undef_vars: Tuple[QuantVar, ...] = ()
+    nondet_vars: Tuple[QuantVar, ...] = ()
     final_memory: Optional[SymMemory] = None
-    calls: List[CallRecord] = field(default_factory=list)
-    approx_vars: Set[str] = field(default_factory=set)
-    origin: Dict[str, str] = field(default_factory=dict)
+    calls: Tuple[CallRecord, ...] = ()
+    approx_vars: FrozenSet[str] = frozenset()
+    origin: Mapping[str, str] = field(default_factory=lambda: MappingProxyType({}))
     # Final symbolic value per SSA register (SymValue | SymAggregate):
     # consumed by the relational analysis to translate IR-level
     # congruence into term-level union seeds for the e-graph rung.
-    regs: Dict[str, object] = field(default_factory=dict)
+    regs: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
+    # Memory accesses whose case-split memdf facts narrowed, and the
+    # (access, block) pairs dropped; the check adds them to memdf.STATS
+    # each time it uses the encoding.
+    narrowed_accesses: int = 0
+    block_skips: int = 0
 
     @property
-    def nondet_all(self) -> List[QuantVar]:
+    def nondet_all(self) -> Tuple[QuantVar, ...]:
         return self.undef_vars + self.nondet_vars
 
 
@@ -248,6 +261,8 @@ class _Encoder:
         self._call_counts: Dict[str, int] = {}
         self._cur_name: Optional[str] = None
         self._fresh_count = 0
+        self._narrowed_accesses = 0
+        self._block_skips = 0
 
     # -- fresh variables --------------------------------------------------------
     def _new_name(self, tag: str) -> str:
@@ -500,13 +515,15 @@ class _Encoder:
             noreturn=noreturn,
             sink=sink,
             pre=pre,
-            undef_vars=self.undef_vars,
-            nondet_vars=self.nondet_vars,
+            undef_vars=tuple(self.undef_vars),
+            nondet_vars=tuple(self.nondet_vars),
             final_memory=final_memory,
-            calls=self.calls,
-            approx_vars=self.approx_vars,
-            origin=self.origin,
-            regs=dict(self.regs),
+            calls=tuple(self.calls),
+            approx_vars=frozenset(self.approx_vars),
+            origin=MappingProxyType(self.origin),
+            regs=MappingProxyType(dict(self.regs)),
+            narrowed_accesses=self._narrowed_accesses,
+            block_skips=self._block_skips,
         )
 
     # -- phi ------------------------------------------------------------------------
@@ -1090,12 +1107,10 @@ class _Encoder:
         pts = self.memdf.pointer_fact(pointer)
         if pts.bids is None:
             return None
-        from repro.analysis.memdf import STATS as _MEMDF_STATS
-
         skipped = sum(1 for b in mem.infos if b not in pts.bids)
         if skipped:
-            _MEMDF_STATS.narrowed_accesses += 1
-            _MEMDF_STATS.block_skips += skipped
+            self._narrowed_accesses += 1
+            self._block_skips += skipped
         return pts.bids
 
     def _load(self, inst: Load, alive: BoolTerm, mem: SymMemory) -> BoolTerm:
@@ -1380,7 +1395,7 @@ class _Encoder:
         record = CallRecord(
             callee=inst.callee,
             dom=alive,
-            args=args,
+            args=tuple(args),
             result=result,
             out_value_name=out_value_name,
             out_poison_name=out_poison_name,

@@ -20,6 +20,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 _INTERN: Dict[tuple, "Term"] = {}
+#: How many times :func:`reset_interning` has run.
+_GENERATION = 0
 
 #: Callbacks invoked by :func:`reset_interning`.  Any module that caches
 #: data keyed by interned terms must register a hook here, or a recycled
@@ -44,6 +46,17 @@ def intern_size() -> int:
     return len(_INTERN)
 
 
+def intern_generation() -> int:
+    """The number of :func:`reset_interning` calls so far.
+
+    A memo that holds terms outside the registered reset hooks (a sealed
+    function's encodings, :mod:`repro.refinement.check`) puts this in its
+    key: terms built before a reset are no longer the interned
+    representatives, so an entry of an older generation is never reused.
+    """
+    return _GENERATION
+
+
 def reset_interning() -> None:
     """Clear the intern table (mainly to bound memory in long test runs).
 
@@ -51,6 +64,8 @@ def reset_interning() -> None:
     and re-registers the canonical TRUE/FALSE singletons so boolean
     folding keeps returning the module-level objects.
     """
+    global _GENERATION
+    _GENERATION += 1
     _INTERN.clear()
     _SUBST_CACHE.clear()
     for hook in _RESET_HOOKS:
